@@ -31,7 +31,7 @@ echo "== serving suites (serialization round-trip + batcher/registry/server) =="
 python -m pytest -x -q -m "not slow" tests/test_combining_serialization.py \
     tests/test_serving.py tests/test_serving_hotswap.py
 
-echo "== execution-plan differential suite (plan vs legacy, V2/mmap loads) =="
+echo "== execution-plan differential suite (plan vs dense oracle, V2/mmap loads) =="
 python -m pytest -x -q -m "not slow" tests/test_combining_plan.py
 
 echo "== batch-invariant kernel differential suite (blocked vs loops) =="

@@ -1,29 +1,37 @@
-"""Immutable execution plans: packed inference without module-graph mutation.
+"""Execution plans: the one forward engine of packed inference.
 
-:meth:`~repro.combining.inference.PackedModel.forward` executes by
-*mutating* the shared nn module graph — installing forward overrides and
-swapping ``weight.data``, then restoring — which forces per-model locks
-wherever the same model serves concurrent traffic.  An
-:class:`ExecutionPlan` is the mutation-free alternative: a read-only,
-picklable op tree compiled **once** from a
+An :class:`ExecutionPlan` is a read-only, picklable op tree compiled from a
 :class:`~repro.combining.inference.PackedModel` (or its quantized twin)
 that owns private copies of everything a forward needs — packed filter
 matrices and channel routing, dense/batch-norm/shift parameters, frozen
-calibration scales — so any number of threads or processes can call
-:meth:`ExecutionPlan.forward` concurrently without touching the source
-model, and without locks.
+calibration scales.  Every packed forward in the library runs on one:
+:meth:`PackedModel.forward` and
+:meth:`~repro.combining.quantized.QuantizedPackedModel.forward` compile a
+plan from the live model per call, and serving compiles (or loads) one
+per artifact.  Running a plan never touches the source model, so any
+number of threads or processes can call :meth:`ExecutionPlan.forward`
+concurrently, without locks.
 
-Bit-identity contract
----------------------
+Numerics contract
+-----------------
 
-``plan.forward(x, mode=m, batch_invariant=b)`` is **bit-identical** to the
-legacy mutating path (``PackedModel.forward(x, mode=m, batch_invariant=b)``
-and ``QuantizedPackedModel.forward(x, batch_invariant=b)`` for
-``mode="quantized"``) for every supported combination: each op replicates
-the exact arithmetic — including einsum ``optimize`` flags, reduction
-orders, and validation messages — of the module (or forward override) it
-replaces.  The differential suite in ``tests/test_combining_plan.py`` pins
-this per model family, mode, and engine combination.
+The three meanings of a packed layer are each pinned against an oracle
+that does not use the plan (``tests/test_combining_plan.py``):
+
+* ``mode="exact"`` without ``batch_invariant`` is **bit-identical** to the
+  nn model's own dense forward over the conflict-pruned weights
+  (:meth:`~repro.combining.packing.PackedFilterMatrix.to_sparse`): each op
+  repeats the arithmetic — einsum ``optimize`` flags, reduction orders,
+  validation messages — of the module it replaces.
+* ``mode="mx"`` runs the MX-cell routing and matches that dense forward
+  up to float summation order.
+* ``mode="quantized"`` runs each packed layer through
+  :meth:`~repro.systolic.system.SystolicSystem.run_layer` with the frozen
+  quantizers, bit-identical to doing so layer by layer on the nn model.
+
+``batch_invariant=True`` swaps every weight-bearing op for the
+batch-invariant kernels of :mod:`repro.combining.kernels`, so a sample's
+output bits never depend on the batch it rides in.
 
 Plans are also the serving-side unit of residency: they pickle cleanly
 into worker processes (:mod:`repro.serving.procpool`) and deserialize
@@ -86,28 +94,51 @@ class _Ctx:
 
     Holds the knobs every op dispatches on (``mode``,
     ``batch_invariant``, the batch-invariant ``kernel``), the optional
-    per-layer spatial-size recorder (``observed``), the optional
-    per-layer wall-time recorder (``profile``, integer nanoseconds per
-    packed layer name), and — for quantized plans — the
+    per-layer :class:`_LayerTap`, and — for quantized plans — the
     :class:`~repro.systolic.system.SystolicSystem` that runs the integer
     packed layers.  One ``_Ctx`` is built per ``forward`` call, so
     concurrent forwards on one plan never share mutable state.
     """
 
-    __slots__ = ("mode", "batch_invariant", "observed", "system", "kernel",
-                 "profile")
+    __slots__ = ("mode", "batch_invariant", "system", "kernel", "tap")
 
     def __init__(self, mode: str, batch_invariant: bool,
-                 observed: dict[str, tuple[int, int]] | None,
-                 system: SystolicSystem | None,
-                 kernel: str = DEFAULT_KERNEL,
-                 profile: dict[str, int] | None = None):
+                 system: SystolicSystem | None, kernel: str,
+                 tap: _LayerTap | None):
         self.mode = mode
         self.batch_invariant = batch_invariant
-        self.observed = observed
         self.system = system
         self.kernel = kernel
+        self.tap = tap
+
+
+class _LayerTap:
+    """Observer of every packed-layer op a forward applies.
+
+    :meth:`PackedLayerOp.apply` calls :meth:`record` once per layer and
+    batch chunk with the layer's input, its output before (``raw``) and
+    after (``out``) the bias, the systolic run's ``info`` dict (quantized
+    mode; ``None`` otherwise) and the layer's wall time in integer
+    nanoseconds.  This base tap fills :meth:`ExecutionPlan.forward`'s
+    ``observed`` spatial sizes and ``profile`` nanoseconds (exact
+    accumulation across chunks and merges — see :mod:`repro.obs.metrics`);
+    :class:`~repro.combining.quantized.QuantizedPackedModel` extends it to
+    capture calibration inputs, layer statistics and layer outputs.  A
+    tap only reads: a tapped forward returns the same bits as an untapped
+    one.
+    """
+
+    def __init__(self, observed: dict[str, tuple[int, int]] | None = None,
+                 profile: dict[str, int] | None = None):
+        self.observed = observed
         self.profile = profile
+
+    def record(self, op: PackedLayerOp, x: np.ndarray, raw: np.ndarray,
+               out: np.ndarray, info: dict | None, elapsed_ns: int) -> None:
+        if self.observed is not None:
+            self.observed[op.name] = (x.shape[2], x.shape[3])
+        if self.profile is not None:
+            self.profile[op.name] = self.profile.get(op.name, 0) + elapsed_ns
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -115,6 +146,41 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     copy = np.ascontiguousarray(array).copy()
     copy.setflags(write=False)
     return copy
+
+
+def ensure_sample_batch(activations: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Promote a single ``(C, H, W)`` sample to a one-sample NCHW batch.
+
+    Returns ``(batch, unbatched)`` where ``unbatched`` records whether the
+    input was a bare sample (so callers can squeeze their result back).
+    Anything already 4-D passes through untouched; other ranks raise the
+    usual batching error downstream.
+    """
+    activations = np.asarray(activations, dtype=np.float64)
+    if activations.ndim == 3:
+        return activations[None, ...], True
+    return activations, False
+
+
+def split_activation_batch(activations: np.ndarray,
+                           batch_size: int | None = None) -> list[np.ndarray]:
+    """Validate an NCHW batch and split it into forward-sized chunks.
+
+    The single home of the batching contract of :meth:`ExecutionPlan.forward`
+    (and so of every packed model's forward): ``batch_size=None`` (or a
+    size covering the batch) yields one chunk, otherwise consecutive
+    slices of at most ``batch_size`` samples.
+    """
+    activations = np.asarray(activations, dtype=np.float64)
+    if activations.ndim != 4:
+        raise ValueError("activations must be (batch, channels, H, W)")
+    if batch_size is not None and batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    total = activations.shape[0]
+    if batch_size is None or total <= batch_size:
+        return [activations]
+    return [activations[start:start + batch_size]
+            for start in range(0, total, batch_size)]
 
 
 # -- ops ----------------------------------------------------------------------
@@ -151,8 +217,10 @@ class PackedLayerOp:
     Owns a private :class:`~repro.combining.packing.PackedFilterMatrix`
     (weights and routing read-only) plus the optional bias and — on
     quantized plans — the layer's frozen quantizer pair.  The dense
-    realization for exact mode is computed lazily and cached; the benign
-    race of two threads realizing concurrently produces identical arrays.
+    realization for exact mode starts as the compiled spec's cached
+    :meth:`~repro.combining.inference.PackedLayerSpec.realized` (plans
+    loaded from artifacts realize lazily); the benign race of two threads
+    realizing concurrently produces identical arrays.
     """
 
     def __init__(self, name: str, packed: PackedFilterMatrix,
@@ -176,37 +244,29 @@ class PackedLayerOp:
         return dense
 
     def apply(self, x: np.ndarray, ctx: _Ctx) -> np.ndarray:
-        if ctx.profile is None:
-            return self._apply(x, ctx)
-        # Wrapping only: the timed call is the same call, so a profiled
-        # forward's arrays are bit-identical to an unprofiled forward's.
-        started = perf_counter_ns()
-        out = self._apply(x, ctx)
-        elapsed = perf_counter_ns() - started
-        ctx.profile[self.name] = ctx.profile.get(self.name, 0) + elapsed
-        return out
-
-    def _apply(self, x: np.ndarray, ctx: _Ctx) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(
                 f"PointwiseConv2d expected (batch, {self.in_channels}, H, W), "
                 f"got {x.shape}")
-        if ctx.observed is not None:
-            ctx.observed[self.name] = (x.shape[2], x.shape[3])
+        started = perf_counter_ns()
+        info = None
         if ctx.mode == "quantized":
             assert ctx.system is not None
-            out, _ = ctx.system.run_layer(
+            # The plan's shift op already moved the pixels (bit-exact with
+            # the hardware ShiftBlock); the systolic run starts at quantizing.
+            raw, info = ctx.system.run_layer(
                 self.packed, x, apply_shift=False, apply_relu=False,
                 input_quantizer=self.input_quantizer,
                 weight_quantizer=self.weight_quantizer)
         elif ctx.mode == "mx":
-            out = self.packed.multiply_activations(x)
+            raw = self.packed.multiply_activations(x)
         elif ctx.batch_invariant:
-            out = invariant_conv_pointwise(x, self.realized(), kernel=ctx.kernel)
+            raw = invariant_conv_pointwise(x, self.realized(), kernel=ctx.kernel)
         else:
-            out = np.einsum("nc,bchw->bnhw", self.realized(), x, optimize=True)
-        if self.bias is not None:
-            out = out + self.bias[None, :, None, None]
+            raw = np.einsum("nc,bchw->bnhw", self.realized(), x, optimize=True)
+        out = raw if self.bias is None else raw + self.bias[None, :, None, None]
+        if ctx.tap is not None:
+            ctx.tap.record(self, x, raw, out, info, perf_counter_ns() - started)
         return out
 
     def __getstate__(self) -> dict:
@@ -420,36 +480,43 @@ class ExecutionPlan:
                 observed: dict[str, tuple[int, int]] | None = None,
                 kernel: str = DEFAULT_KERNEL,
                 profile: dict[str, int] | None = None) -> np.ndarray:
-        """Run a batched forward pass; bit-identical to the legacy path.
+        """Run a batched forward pass.
 
-        Mirrors :meth:`PackedModel.forward`'s contract (``mode``,
-        ``batch_size`` chunking, ``batch_invariant`` numerics) plus
-        ``mode="quantized"`` on quantized-capable plans (bit-identical to
-        :meth:`QuantizedPackedModel.forward`).  ``kernel`` selects the
-        batch-invariant implementation (see
-        :mod:`repro.combining.kernels`); it only affects
-        ``batch_invariant=True`` forwards.  Because plans are immutable
-        there is no instance-level spatial record; pass a dict as
-        ``observed`` to collect each packed layer's (H, W) for
-        :meth:`execution_plan`.
+        ``activations`` is an NCHW batch.  ``mode`` selects the packed
+        computation (see the module docstring); ``"quantized"`` needs a
+        quantized-capable plan.  ``batch_size`` optionally splits the
+        batch into chunks whose outputs are concatenated; every layer is a
+        per-sample computation, so chunking changes the result only
+        through BLAS summation order.  ``batch_invariant=True`` runs every
+        weight-bearing op through the batch-invariant ``kernel`` (see
+        :mod:`repro.combining.kernels`) so ``forward(x)[i:j] ==
+        forward(x[i:j])`` exactly — the property :mod:`repro.serving`'s
+        dynamic batcher relies on; ``kernel`` affects nothing else.
 
-        ``profile`` opts into per-layer wall-time accounting: pass a
-        dict and each packed layer op accumulates its execution time
-        into it, keyed by layer name, in **integer nanoseconds**
-        (exact accumulation across ``batch_size`` chunks and across
-        merges — see :mod:`repro.obs.metrics`).  Profiling wraps the
-        layer call with two perf-counter reads and changes nothing
-        else: a profiled forward returns bit-identical arrays to an
-        unprofiled one, which the obs test suite pins per mode.
+        Plans are immutable, so there is no instance-level spatial
+        record: pass a dict as ``observed`` to collect each packed
+        layer's (H, W) for :meth:`execution_plan`.  ``profile`` opts into
+        per-layer wall-time accounting: pass a dict and each packed layer
+        op accumulates its execution time into it, keyed by layer name,
+        in **integer nanoseconds**.  Neither changes the returned bits,
+        which the obs test suite pins per mode.
         """
+        tap = (_LayerTap(observed, profile)
+               if observed is not None or profile is not None else None)
+        return self._run(activations, mode, batch_size, batch_invariant,
+                         kernel, tap)
+
+    def _run(self, activations: np.ndarray, mode: str,
+             batch_size: int | None, batch_invariant: bool, kernel: str,
+             tap: _LayerTap | None) -> np.ndarray:
+        """:meth:`forward` with an arbitrary tap (the package-private hook
+        :class:`~repro.combining.quantized.QuantizedPackedModel` uses)."""
         if mode not in self.modes:
             raise ValueError(f"unknown forward mode {mode!r}; this plan "
                              f"supports {self.modes}")
         validate_kernel(kernel)
-        from repro.combining.inference import split_activation_batch
         chunks = split_activation_batch(activations, batch_size)
-        ctx = _Ctx(mode, batch_invariant, observed, self.system, kernel,
-                   profile)
+        ctx = _Ctx(mode, batch_invariant, self.system, kernel, tap)
         outputs = [self.root.apply(chunk, ctx) for chunk in chunks]
         return outputs[0] if len(outputs) == 1 else np.concatenate(outputs, axis=0)
 
@@ -458,7 +525,6 @@ class ExecutionPlan:
                 batch_invariant: bool = False,
                 kernel: str = DEFAULT_KERNEL) -> np.ndarray:
         """Class predictions; accepts a bare ``(C, H, W)`` sample too."""
-        from repro.combining.inference import ensure_sample_batch
         batch, unbatched = ensure_sample_batch(activations)
         predictions = np.argmax(
             self.forward(batch, mode=mode, batch_size=batch_size,
@@ -478,7 +544,7 @@ class ExecutionPlan:
         :meth:`QuantizedPackedModel.plan`: spatial sizes come from an
         ``observed`` map collected by :meth:`forward` (or explicit
         ``spatial_sizes``); the default array configuration matches the
-        source model's, so cycle totals are identical to the legacy path.
+        source model's, so cycle totals are identical to its ``plan()``.
         """
         if spatial_sizes is None:
             if observed is None or any(op.name not in observed
@@ -719,6 +785,7 @@ def compile_plan(packed_model: Any,
             in_channels=module.in_channels,
             input_quantizer=pair[0] if pair is not None else None,
             weight_quantizer=pair[1] if pair is not None else None)
+        op._realized = spec.realized()
         packed_ops.append(op)
         state.packed[id(module)] = op
     root = _compile_module(model, state)

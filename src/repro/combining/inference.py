@@ -8,18 +8,19 @@ model via :class:`~repro.combining.pipeline.PackingPipeline`) and provides:
 
 * **Batched forward passes** — :meth:`PackedModel.forward` runs the whole
   network (shift blocks, batch norm, pooling, classifier heads) with each
-  packable pointwise layer computed from its packed representation, in
-  one of two modes:
+  packable pointwise layer computed from its packed representation.  Each
+  call compiles an :class:`~repro.combining.execplan.ExecutionPlan` from
+  the model's current state and runs it, so the nn module graph is never
+  modified (a pending training ``backward`` keeps its caches).  Modes:
 
   - ``"exact"`` (default): the packed weights are realized back into the
     layer's dense filter matrix via
     :meth:`~repro.combining.packing.PackedFilterMatrix.to_sparse` (an
     exact reconstruction of the conflict-pruned matrix, cached per layer
-    across forwards — see :meth:`PackedLayerSpec.realized`) and the
-    model's own module graph runs unchanged.  The output is therefore
-    **bit-identical** to the dense reference forward of a model holding
-    the pruned weights — any corruption of the channel routing, group
-    assignment, or layer ordering changes the output.
+    across forwards — see :meth:`PackedLayerSpec.realized`).  The output
+    is **bit-identical** to the dense reference forward of a model
+    holding the pruned weights — any corruption of the channel routing,
+    group assignment, or layer ordering changes the output.
   - ``"mx"``: every packed layer runs the true MX-cell computation
     (:meth:`~repro.combining.packing.PackedFilterMatrix.multiply_activations`):
     each cell multiplies its stored weight by the input channel it routes
@@ -71,18 +72,17 @@ Usage::
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from repro.combining.kernels import (
-    DEFAULT_KERNEL,
-    invariant_conv_pointwise,
-    invariant_matmul,
-    validate_kernel,
+from repro.combining.execplan import (
+    ExecutionPlan,
+    compile_plan,
+    ensure_sample_batch,
 )
+from repro.combining.kernels import DEFAULT_KERNEL
 from repro.combining.packing import PackedFilterMatrix
 from repro.combining.pipeline import (
     PackingPipeline,
@@ -90,7 +90,7 @@ from repro.combining.pipeline import (
     PipelineResult,
 )
 from repro.models.registry import packable_layers as _model_packable_layers
-from repro.nn import Dense, Module, PointwiseConv2d
+from repro.nn import Module, PointwiseConv2d
 from repro.systolic.array import ArrayConfig
 from repro.systolic.system import ModelExecutionPlan, SystolicSystem
 
@@ -267,22 +267,14 @@ class PackedModel:
         sample regardless of batching — ``forward(x)[i:j] ==
         forward(x[i:j])`` exactly, for either mode — the property
         :mod:`repro.serving`'s dynamic batcher relies on (see the module
-        docstring).
+        docstring).  The spatial size each packed layer sees is recorded
+        for :meth:`plan`.
         """
-        if self.model is None:
-            raise RuntimeError(
-                "this PackedModel was assembled without an nn model; "
-                "forward needs one (use from_model or pass model=...)")
-        if mode not in FORWARD_MODES:
-            raise ValueError(f"unknown forward mode {mode!r}; "
-                             f"expected one of {FORWARD_MODES}")
-        validate_kernel(kernel)
-        chunks = split_activation_batch(activations, batch_size)
+        plan = self.compile_plan()
         self._observed_spatial = {}
-        with self._packed_layers_installed(mode, batch_invariant=batch_invariant,
-                                           kernel=kernel):
-            outputs = [self.model.forward(chunk) for chunk in chunks]
-        return outputs[0] if len(outputs) == 1 else np.concatenate(outputs, axis=0)
+        return plan.forward(activations, mode=mode, batch_size=batch_size,
+                            batch_invariant=batch_invariant,
+                            observed=self._observed_spatial, kernel=kernel)
 
     def predict(self, activations: np.ndarray, mode: str = "exact",
                 batch_size: int | None = None,
@@ -303,150 +295,17 @@ class PackedModel:
                                 axis=1)
         return predictions[0] if unbatched else predictions
 
-    def compile_plan(self) -> "Any":
+    def compile_plan(self) -> ExecutionPlan:
         """Compile an immutable :class:`~repro.combining.execplan.ExecutionPlan`.
 
         The plan snapshots the packed matrices, module topology, and all
-        non-packed parameters into a read-only, picklable op tree whose
-        :meth:`~repro.combining.execplan.ExecutionPlan.forward` is
-        bit-identical to :meth:`forward` for every mode /
-        ``batch_invariant`` combination — without installing anything
-        into (or locking) this model's module graph, so one plan can run
-        concurrently from any number of threads or processes.
+        non-packed parameters into a read-only, picklable op tree — the
+        engine :meth:`forward` runs on — without touching this model's
+        module graph, so one plan can run concurrently from any number of
+        threads or processes.  Later training or repacking does not
+        affect a compiled plan.
         """
-        from repro.combining.execplan import compile_plan as _compile_plan
-        return _compile_plan(self)
-
-    @contextmanager
-    def _model_snapshot(self) -> Iterator[None]:
-        """Eval-mode window over the model, restoring all module state after.
-
-        Snapshots every module's instance dict: it holds the training flag,
-        the activation caches layers keep for backward (which a packed
-        forward must neither clobber for a pending training backward nor
-        retain afterwards), and is where forward overrides are installed.
-        Parameter *objects* are shared with the snapshot, so callers that
-        swap ``weight.data`` must restore it themselves.
-        """
-        model = self.model
-        assert model is not None
-        saved_attributes = [(module, vars(module).copy())
-                            for module in model.modules()]
-        model.eval()
-        try:
-            yield
-        finally:
-            for module, attributes in saved_attributes:
-                vars(module).clear()
-                vars(module).update(attributes)
-
-    @contextmanager
-    def _packed_layers_installed(self, mode: str,
-                                 batch_invariant: bool = False,
-                                 kernel: str = DEFAULT_KERNEL
-                                 ) -> Iterator[None]:
-        """Temporarily run the model in eval mode with packed layers installed.
-
-        ``"exact"`` swaps each packable layer's weight data for the (cached)
-        packed reconstruction; ``"mx"`` overrides the layer's ``forward``
-        with the MX-cell multiply.  Both record the spatial size each packed
-        layer observes (for :meth:`plan`) and restore the model afterwards.
-        With ``batch_invariant`` the exact mode computes the packed layers
-        through the selected batch-invariant ``kernel`` instead of the
-        module's own (BLAS-backed) forward, and every other weight-bearing
-        module is switched to its batch-invariant twin too (see
-        :meth:`_install_batch_invariant_modules`).
-        """
-        with self._model_snapshot():
-            saved_weights: list[tuple[PointwiseConv2d, np.ndarray]] = []
-            try:
-                for spec in self.specs:
-                    module = spec.module
-                    assert module is not None
-                    if mode == "exact" and not batch_invariant:
-                        saved_weights.append((module, module.weight.data))
-                        module.weight.data = spec.realized()
-                        module.forward = _recording_forward(module, spec,
-                                                            self._observed_spatial)
-                    elif mode == "exact":
-                        module.forward = _invariant_pointwise_forward(
-                            module, weights=spec.realized(), spec=spec,
-                            observed=self._observed_spatial, kernel=kernel)
-                    else:
-                        module.forward = _mx_forward(module, spec,
-                                                     self._observed_spatial)
-                if batch_invariant:
-                    self._install_batch_invariant_modules(kernel)
-                yield
-            finally:
-                for module, weights in saved_weights:
-                    module.weight.data = weights
-
-    def _install_batch_invariant_modules(self, kernel: str = DEFAULT_KERNEL
-                                         ) -> None:
-        """Swap the non-packed weight-bearing modules to invariant forwards.
-
-        The only batch-variant operations in the module graph are the
-        BLAS-backed matmuls (``Dense``, and ``PointwiseConv2d``'s
-        ``optimize=True`` einsum, which may dispatch to BLAS): general
-        GEMM kernels choose their blocking — and therefore their float
-        summation order — from the full operand shapes, so a sample's
-        bits change with the batch it rides in.  Everything else
-        (batch-norm statistics in eval mode, pooling means, shifts, ReLU)
-        reduces per sample with shape-independent order.  Both module
-        kinds share the :mod:`repro.combining.kernels` family — ``Dense``
-        through :func:`invariant_matmul`, ``PointwiseConv2d`` through
-        :func:`invariant_conv_pointwise`.  Must run inside
-        :meth:`_model_snapshot` (forward overrides are undone by the
-        snapshot restore); packable modules were already handled by the
-        caller, and any module whose forward was already overridden this
-        context is left alone.
-        """
-        model = self.model
-        assert model is not None
-        for module in model.modules():
-            if "forward" in vars(module):
-                continue  # packed / custom forward already installed
-            if isinstance(module, Dense):
-                module.forward = _invariant_dense_forward(module, kernel=kernel)
-            elif isinstance(module, PointwiseConv2d):
-                module.forward = _invariant_pointwise_forward(module,
-                                                              kernel=kernel)
-
-    @contextmanager
-    def custom_forwards(self, factory: Callable[["PackedLayerSpec",
-                                                 PointwiseConv2d],
-                                                Callable[[np.ndarray],
-                                                         np.ndarray]],
-                        batch_invariant: bool = False,
-                        kernel: str = DEFAULT_KERNEL) -> Iterator[None]:
-        """Run the model with each packable layer's forward replaced.
-
-        ``factory(spec, module)`` returns the substitute forward installed
-        on ``module`` for the duration of the context; module state
-        (training flags, activation caches, the overrides themselves) is
-        restored on exit exactly as for :meth:`forward`.  This is the
-        extension point other packed-execution semantics build on — the
-        quantized integer path of
-        :class:`~repro.combining.quantized.QuantizedPackedModel` installs
-        its per-layer systolic execution through it.  With
-        ``batch_invariant`` the *non-packed* weight-bearing modules run
-        their batch-invariant twins using ``kernel`` (the factory's own
-        forwards are untouched — the quantized integer path is
-        batch-invariant by construction, its sums being exact).
-        """
-        if self.model is None:
-            raise RuntimeError(
-                "this PackedModel was assembled without an nn model; "
-                "custom_forwards needs one (use from_model or pass model=...)")
-        with self._model_snapshot():
-            for spec in self.specs:
-                module = spec.module
-                assert module is not None
-                module.forward = factory(spec, module)
-            if batch_invariant:
-                self._install_batch_invariant_modules(kernel)
-            yield
+        return compile_plan(self)
 
     # -- batched exports ----------------------------------------------------
     def packed_layers(self) -> list[tuple[str, PackedFilterMatrix]]:
@@ -548,115 +407,3 @@ class PackedModel:
                 "utilization": plan.utilization,
             })
         return result
-
-
-def ensure_sample_batch(activations: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Promote a single ``(C, H, W)`` sample to a one-sample NCHW batch.
-
-    Returns ``(batch, unbatched)`` where ``unbatched`` records whether the
-    input was a bare sample (so callers can squeeze their result back).
-    Anything already 4-D passes through untouched; other ranks raise the
-    usual batching error downstream.
-    """
-    activations = np.asarray(activations, dtype=np.float64)
-    if activations.ndim == 3:
-        return activations[None, ...], True
-    return activations, False
-
-
-def split_activation_batch(activations: np.ndarray,
-                           batch_size: int | None = None) -> list[np.ndarray]:
-    """Validate an NCHW batch and split it into forward-sized chunks.
-
-    The single home of the batching contract both :meth:`PackedModel.forward`
-    and :meth:`~repro.combining.quantized.QuantizedPackedModel.forward`
-    honour: ``batch_size=None`` (or a size covering the batch) yields one
-    chunk, otherwise consecutive slices of at most ``batch_size`` samples.
-    """
-    activations = np.asarray(activations, dtype=np.float64)
-    if activations.ndim != 4:
-        raise ValueError("activations must be (batch, channels, H, W)")
-    if batch_size is not None and batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    total = activations.shape[0]
-    if batch_size is None or total <= batch_size:
-        return [activations]
-    return [activations[start:start + batch_size]
-            for start in range(0, total, batch_size)]
-
-
-def _recording_forward(module: PointwiseConv2d, spec: PackedLayerSpec,
-                       observed: dict[str, tuple[int, int]]):
-    """The module's own forward, plus spatial-size recording.
-
-    Runs the *original class* forward on the (swapped-in) pruned weights,
-    so the computation — and therefore the bits of the output — is exactly
-    the dense reference forward.
-    """
-    def forward(x: np.ndarray) -> np.ndarray:
-        if x.ndim == 4:
-            observed[spec.name] = (x.shape[2], x.shape[3])
-        return PointwiseConv2d.forward(module, x)
-    return forward
-
-
-def _mx_forward(module: PointwiseConv2d, spec: PackedLayerSpec,
-                observed: dict[str, tuple[int, int]]):
-    """Forward through the MX-cell multiply (hardware routing semantics)."""
-    def forward(x: np.ndarray) -> np.ndarray:
-        module.check_input(x)
-        observed[spec.name] = (x.shape[2], x.shape[3])
-        out = spec.packed.multiply_activations(x)
-        if module.bias is not None:
-            out = out + module.bias.data[None, :, None, None]
-        return out
-    return forward
-
-
-def _invariant_pointwise_forward(module: PointwiseConv2d,
-                                 weights: np.ndarray | None = None,
-                                 spec: PackedLayerSpec | None = None,
-                                 observed: dict[str, tuple[int, int]] | None = None,
-                                 kernel: str = DEFAULT_KERNEL):
-    """Batch-invariant pointwise forward over a fixed weight matrix.
-
-    The contraction runs through
-    :func:`repro.combining.kernels.invariant_conv_pointwise`, whose
-    per-sample summation order never depends on the batch dimension, so a
-    sample's output bits are independent of which batch it was coalesced
-    into.  ``weights`` defaults to the module's own (the non-packed-layer
-    case); packed layers pass their realized matrix plus ``spec`` /
-    ``observed`` for spatial-size recording.
-    """
-    if weights is None:
-        weights = module.weight.data
-
-    def forward(x: np.ndarray) -> np.ndarray:
-        module.check_input(x)
-        if observed is not None:
-            assert spec is not None
-            observed[spec.name] = (x.shape[2], x.shape[3])
-        out = invariant_conv_pointwise(x, weights, kernel=kernel)
-        if module.bias is not None:
-            out = out + module.bias.data[None, :, None, None]
-        return out
-    return forward
-
-
-def _invariant_dense_forward(module: Dense, kernel: str = DEFAULT_KERNEL):
-    """Batch-invariant twin of :meth:`Dense.forward`.
-
-    Shares :func:`repro.combining.kernels.invariant_matmul` with the
-    pointwise path rather than carrying its own einsum shape, so every
-    weight-bearing module runs the same kernel family.
-    """
-    def forward(x: np.ndarray) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != module.in_features:
-            raise ValueError(
-                f"Dense expected input of shape (batch, {module.in_features}), "
-                f"got {x.shape}")
-        out = invariant_matmul(x, module.weight.data, kernel=kernel)
-        if module.bias is not None:
-            out = out + module.bias.data
-        return out
-    return forward

@@ -18,20 +18,23 @@ execution:
   outlier-robust ``"percentile"``); weight scales always use the exact
   max-magnitude fit, since the weights are fully known at pack time.
 * **Batched integer forwards** — :meth:`QuantizedPackedModel.forward`
-  runs the whole network with every packed layer computed as the array
-  would: ``bits``-bit quantized activations and weights routed through
-  the MX cells of the tiled packed array, 32-bit integer accumulation,
-  and dequantization by the product of the frozen scales.  The spatial
+  compiles a quantized :class:`~repro.combining.execplan.ExecutionPlan`
+  from the frozen scales and runs the whole network on it, with every
+  packed layer computed as the array would: ``bits``-bit quantized
+  activations and weights routed through the MX cells of the tiled
+  packed array, 32-bit integer accumulation, and dequantization by the
+  product of the frozen scales.  The spatial
   shift runs inside the model's own shift layers (bit-exact with
   :class:`~repro.systolic.blocks.ShiftBlock`); ReLU and the 8-bit
-  re-quantization feeding the next packed layer happen in the module
-  graph and at the next layer's frozen input quantizer respectively.
+  re-quantization feeding the next packed layer happen in the plan's
+  float ops and at the next layer's frozen input quantizer respectively.
   Non-packable modules (batch norm, pooling, classifier heads) run in
   float, as on the host.
 * **Per-layer error accounting** — :meth:`QuantizedPackedModel.layer_report`
   reports, for the last forward, each layer's quantization RMSE,
   saturation rates, and the divergence between its quantized output and
-  the exact packed computation on the same inputs;
+  the exact packed computation on the same inputs, all collected by a
+  per-layer tap on the plan forward;
   :meth:`QuantizedPackedModel.prediction_agreement` compares top-1
   predictions against :meth:`PackedModel.predict`'s exact mode.
 * **Cycle / tile accounting** — ``bits`` threads into the systolic timing
@@ -57,19 +60,21 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from repro.combining.inference import (
-    PackedLayerSpec,
-    PackedModel,
+from repro.combining.execplan import (
+    ExecutionPlan,
+    PackedLayerOp,
+    _LayerTap,
+    compile_plan,
     ensure_sample_batch,
-    split_activation_batch,
 )
+from repro.combining.inference import PackedModel
 from repro.combining.kernels import DEFAULT_KERNEL
 from repro.combining.pipeline import PackingPipeline, PipelineConfig, PipelineResult
-from repro.nn import Module, PointwiseConv2d
+from repro.nn import Module
 from repro.quant.linear import CALIBRATIONS, LinearQuantizer
 from repro.systolic.array import ArrayConfig
 from repro.systolic.system import ModelExecutionPlan, SystolicSystem
@@ -140,15 +145,14 @@ class _LayerStats:
         self.cycles = 0
 
     def accumulate(self, inputs: np.ndarray, info: dict,
-                   divergence: np.ndarray | None = None,
-                   input_quantizer: LinearQuantizer | None = None) -> None:
+                   input_quantizer: LinearQuantizer,
+                   divergence: np.ndarray | None = None) -> None:
         self.saturated_inputs += info["input_saturation"] * inputs.size
         self.input_elements += inputs.size
         self.num_tiles += info["num_tiles"]
         self.cycles += info["cycles"]
         if divergence is None:
             return
-        assert input_quantizer is not None
         self.tracked = True
         self.elements += divergence.size
         self.squared_divergence += float(np.sum(divergence ** 2))
@@ -179,6 +183,46 @@ class _LayerStats:
         if self.input_elements == 0:
             return 0.0
         return self.saturated_inputs / self.input_elements
+
+
+class _QuantizedTap(_LayerTap):
+    """The plan tap behind calibration and the quantized forward's reports.
+
+    Besides the base tap's spatial sizes it optionally keeps each layer's
+    last input (``inputs``, for calibration), accumulates its
+    :class:`_LayerStats` (``stats``; with ``track_errors`` also the
+    divergence from the exact shadow computation on the same input) and
+    appends its output (``outputs``, for :meth:`QuantizedPackedModel.layer_outputs`).
+    """
+
+    def __init__(self, observed: dict[str, tuple[int, int]] | None = None,
+                 inputs: dict[str, np.ndarray] | None = None,
+                 stats: dict[str, _LayerStats] | None = None,
+                 track_errors: bool = False,
+                 outputs: dict[str, list[np.ndarray]] | None = None):
+        super().__init__(observed)
+        self.inputs = inputs
+        self.stats = stats
+        self.track_errors = track_errors
+        self.outputs = outputs
+
+    def record(self, op: PackedLayerOp, x: np.ndarray, raw: np.ndarray,
+               out: np.ndarray, info: dict | None, elapsed_ns: int) -> None:
+        super().record(op, x, raw, out, info, elapsed_ns)
+        if self.inputs is not None:
+            self.inputs[op.name] = x
+        if self.stats is not None:
+            assert info is not None and op.input_quantizer is not None
+            divergence = None
+            if self.track_errors:
+                # The exact float layer, as the exact-mode plan computes it.
+                exact = np.einsum("nc,bchw->bnhw", op.realized(), x,
+                                  optimize=True)
+                divergence = raw - exact
+            self.stats[op.name].accumulate(x, info, op.input_quantizer,
+                                           divergence=divergence)
+        if self.outputs is not None:
+            self.outputs[op.name].append(out)
 
 
 class QuantizedPackedModel:
@@ -220,7 +264,6 @@ class QuantizedPackedModel:
         self.system = SystolicSystem(array_config)
         self._calibrations: dict[str, LayerCalibration] | None = None
         self._stats: dict[str, _LayerStats] | None = None
-        self._track_errors = True
         self._last_layer_outputs: dict[str, list[np.ndarray]] | None = None
 
     # -- construction -------------------------------------------------------
@@ -258,29 +301,13 @@ class QuantizedPackedModel:
         every subsequent :meth:`forward` uses — recalibrating replaces
         them.  Returns ``self`` so assembly and calibration chain.
         """
-        batch, = split_activation_batch(batch)
-        observed: dict[str, np.ndarray] = {}
-
-        def factory(spec: PackedLayerSpec, module: PointwiseConv2d
-                    ) -> Callable[[np.ndarray], np.ndarray]:
-            def forward(x: np.ndarray) -> np.ndarray:
-                module.check_input(x)
-                observed[spec.name] = x
-                return _exact_layer_output(spec, module, x)
-            return forward
-
-        model = self.packed.model
-        assert model is not None
-        with self.packed.custom_forwards(factory):
-            model.forward(batch)
-        missing = [spec.name for spec in self.packed.specs
-                   if spec.name not in observed]
-        if missing:
-            raise RuntimeError(
-                f"calibration forward never reached packed layers {missing}")
+        layer_inputs: dict[str, np.ndarray] = {}
+        self.packed.compile_plan()._run(batch, "exact", None, False,
+                                        DEFAULT_KERNEL,
+                                        _QuantizedTap(inputs=layer_inputs))
         calibrations: dict[str, LayerCalibration] = {}
         for spec in self.packed.specs:
-            inputs = observed[spec.name]
+            inputs = layer_inputs[spec.name]
             input_quantizer = LinearQuantizer.fit(
                 inputs, bits=self.bits, calibration=self.calibration,
                 percentile=self.percentile)
@@ -356,26 +383,22 @@ class QuantizedPackedModel:
         numerics (see :meth:`PackedModel.forward`): the packed integer
         execution is already batch-invariant by construction (frozen
         scales make its sums exact), so the flag switches the surrounding
-        float modules (classifier heads) to their batch-invariant twins
+        float ops (classifier heads) to their batch-invariant twins
         running the selected ``kernel`` (see
         :mod:`repro.combining.kernels`), making the whole chain
         bit-identical per sample under any request coalescing.
         """
-        self._require_calibrated()
-        chunks = split_activation_batch(activations, batch_size)
-        self._stats = {spec.name: _LayerStats() for spec in self.packed.specs}
-        self._track_errors = track_errors
-        self._last_layer_outputs = (
-            {spec.name: [] for spec in self.packed.specs}
-            if capture_layer_outputs else None)
+        plan = self.compile_plan()
+        names = self.packed.layer_names()
+        self._stats = {name: _LayerStats() for name in names}
+        self._last_layer_outputs = ({name: [] for name in names}
+                                    if capture_layer_outputs else None)
         self.packed._observed_spatial = {}
-        model = self.packed.model
-        assert model is not None
-        with self.packed.custom_forwards(self._quantized_factory,
-                                         batch_invariant=batch_invariant,
-                                         kernel=kernel):
-            outputs = [model.forward(chunk) for chunk in chunks]
-        return outputs[0] if len(outputs) == 1 else np.concatenate(outputs, axis=0)
+        tap = _QuantizedTap(observed=self.packed._observed_spatial,
+                            stats=self._stats, track_errors=track_errors,
+                            outputs=self._last_layer_outputs)
+        return plan._run(activations, "quantized", batch_size,
+                         batch_invariant, kernel, tap)
 
     def predict(self, activations: np.ndarray, batch_size: int | None = None,
                 batch_invariant: bool = False,
@@ -415,58 +438,25 @@ class QuantizedPackedModel:
                        else np.concatenate(pieces, axis=0))
                 for name, pieces in self._last_layer_outputs.items()}
 
-    def _quantized_factory(self, spec: PackedLayerSpec,
-                           module: PointwiseConv2d
-                           ) -> Callable[[np.ndarray], np.ndarray]:
-        assert self._calibrations is not None and self._stats is not None
-        calibration = self._calibrations[spec.name]
-        stats = self._stats[spec.name]
-
-        def forward(x: np.ndarray) -> np.ndarray:
-            module.check_input(x)
-            self.packed._observed_spatial[spec.name] = (x.shape[2], x.shape[3])
-            # The model's own shift layer already moved the pixels (it is
-            # bit-exact with the hardware ShiftBlock), so the systolic run
-            # starts at quantization + MX routing.
-            output, info = self.system.run_layer(
-                spec.packed, x, apply_shift=False, apply_relu=False,
-                input_quantizer=calibration.input_quantizer,
-                weight_quantizer=calibration.weight_quantizer)
-            if self._track_errors:
-                exact = _exact_layer_output(spec, module, x, bias=False)
-                stats.accumulate(x, info, divergence=output - exact,
-                                 input_quantizer=calibration.input_quantizer)
-            else:
-                stats.accumulate(x, info)
-            if module.bias is not None:
-                output = output + module.bias.data[None, :, None, None]
-            if self._last_layer_outputs is not None:
-                self._last_layer_outputs[spec.name].append(output)
-            return output
-
-        return forward
-
-    def compile_plan(self) -> Any:
+    def compile_plan(self) -> ExecutionPlan:
         """Compile an immutable quantized-capable execution plan.
 
         The returned :class:`~repro.combining.execplan.ExecutionPlan`
         carries the packed matrices **and** the frozen per-layer
-        quantizer pairs, so ``plan.forward(x, mode="quantized")`` is
-        bit-identical to :meth:`forward` (and its exact / mx modes to
-        :meth:`PackedModel.forward`) without touching this model — no
-        module-graph mutation, no locks, picklable into worker processes.
-        Error accounting (:meth:`layer_report`) stays on the mutating
-        path; plans only compute outputs and cycle plans.
+        quantizer pairs; :meth:`forward` is ``plan.forward(x,
+        mode="quantized")`` plus the per-layer accounting behind
+        :meth:`layer_report`, and its exact / mx modes are
+        :meth:`PackedModel.forward`'s.  The plan never touches this
+        model, needs no locks, and pickles into worker processes.
         """
         self._require_calibrated()
         assert self._calibrations is not None
-        from repro.combining.execplan import compile_plan as _compile_plan
         quantizers = {
             spec.name: (self._calibrations[spec.name].input_quantizer,
                         self._calibrations[spec.name].weight_quantizer)
             for spec in self.packed.specs}
-        return _compile_plan(self.packed, quantizers=quantizers,
-                             bits=self.bits, array_config=self.system.config)
+        return compile_plan(self.packed, quantizers=quantizers,
+                            bits=self.bits, array_config=self.system.config)
 
     # -- error / accuracy accounting ----------------------------------------
     def layer_report(self) -> list[QuantizedLayerReport]:
@@ -548,17 +538,3 @@ class QuantizedPackedModel:
             raise RuntimeError(
                 "QuantizedPackedModel is not calibrated; run "
                 "calibrate(batch) once before quantized inference")
-
-
-def _exact_layer_output(spec: PackedLayerSpec, module: PointwiseConv2d,
-                        x: np.ndarray, bias: bool = True) -> np.ndarray:
-    """The exact (float) packed layer computation on the same inputs.
-
-    Identical arithmetic to :class:`~repro.nn.layers.PointwiseConv2d` with
-    the conflict-pruned weights installed, so calibration forwards are
-    bit-identical to :meth:`PackedModel.forward`'s exact mode.
-    """
-    out = np.einsum("nc,bchw->bnhw", spec.realized(), x, optimize=True)
-    if bias and module.bias is not None:
-        out = out + module.bias.data[None, :, None, None]
-    return out

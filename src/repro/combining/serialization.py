@@ -69,7 +69,7 @@ Usage::
     served = load_packed("lenet5.packed.npz")   # no pipeline run
     assert np.array_equal(served.forward(x), packed.forward(x))
     plan = load_plan("lenet5.packed.npz", mmap=True)   # zero-copy, no nn model
-    assert np.array_equal(plan.forward(x), packed.forward(x))
+    assert np.array_equal(plan.forward(x), served.forward(x))   # one engine
 """
 
 from __future__ import annotations
@@ -923,7 +923,7 @@ def _plan_from_artifact(raw: _RawArtifact, path: Path) -> Any:
         # view lands at whatever offset the zip layout dictates.  The
         # manifest's arrays feed the non-batch-invariant matmul paths, so
         # materialize them as ordinary allocations to keep plan forwards
-        # bit-identical to the legacy path; the large packed.* arrays
+        # bit-identical to the saved model's; the large packed.* arrays
         # stay mapped (they never feed BLAS directly).
         array = np.array(_slice_ref(raw.blobs, ref, path))
         array.setflags(write=False)

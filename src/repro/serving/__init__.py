@@ -35,11 +35,8 @@ Execution architecture
 ----------------------
 
 Serving runs on **immutable execution plans**
-(:class:`~repro.combining.execplan.ExecutionPlan`), not on the nn module
-graph.  The legacy forward path installed packed state into the shared
-module graph, ran, and restored it — correct, but it made the model the
-unit of mutual exclusion: one lock per model, one forward at a time,
-and nothing shippable across process boundaries.  A plan is compiled
+(:class:`~repro.combining.execplan.ExecutionPlan`), the one forward
+engine of the library, not on the nn module graph.  A plan is compiled
 once (from a loaded artifact or a live model) into a read-only,
 picklable op tree; running it touches no shared state, so:
 

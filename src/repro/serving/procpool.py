@@ -15,9 +15,9 @@ its next batch: the registry's new fingerprint misses the cache, the
 worker re-verifies the file against it, and the superseded plan ages out
 of the bounded LRU.
 
-Because plan execution is batch-invariant and bit-exact to the legacy
-in-process path, responses computed in a worker process are bit-identical
-to the thread backend's — the server's determinism guarantee holds across
+Because a worker runs the same plan forward, with the same
+batch-invariant kernels, as the in-process thread backend, responses
+computed in a worker process are bit-identical to the thread backend's — the server's determinism guarantee holds across
 backends and worker counts.
 
 Fork safety: :class:`ProcessWorkerPool` is created and warmed (one no-op

@@ -200,8 +200,8 @@ class ResidentModel:
 
         The map is what :meth:`batch_plan` needs to cost the batch on the
         systolic timing model; returning it per call (instead of stashing
-        it on shared module state like the legacy mutating path did) is
-        what lets concurrent forwards on one resident model coexist.
+        it on shared state) is what lets concurrent forwards on one
+        resident model coexist.
         ``profile`` is handed to :meth:`ExecutionPlan.forward` — pass a
         dict to collect per-layer wall time in integer nanoseconds
         (wrapping only; the outputs stay bit-identical).

@@ -28,6 +28,10 @@ def golden_check(request: pytest.FixtureRequest):
     ``golden_check(name, payload)`` asserts ``payload`` equals the stored
     ``tests/golden/<name>.json`` exactly (floats survive the JSON round
     trip bit-for-bit via ``repr``-based shortest-round-trip encoding).
+    ``max_ulp`` maps top-level keys holding float arrays whose bits are
+    not platform-defined (BLAS output) to a bound in units in the last
+    place; those keys are compared with ``np.testing.assert_array_max_ulp``
+    and every other key stays exact.
     Running pytest with ``--regen-golden`` rewrites the fixture instead,
     so intentional engine changes are re-frozen in one command and show
     up as a reviewable diff.  When several tests (e.g. the engine-combo
@@ -42,7 +46,8 @@ def golden_check(request: pytest.FixtureRequest):
     if regenerated is None:
         regenerated = session._golden_regenerated = {}
 
-    def check(name: str, payload) -> None:
+    def check(name: str, payload, max_ulp: dict[str, int] | None = None
+              ) -> None:
         path = GOLDEN_DIR / f"{name}.json"
         encoded = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         if regen:
@@ -62,7 +67,12 @@ def golden_check(request: pytest.FixtureRequest):
         stored = json.loads(path.read_text())
         # Round-trip the payload through JSON so the comparison sees exactly
         # what a regen would have written (e.g. tuples become lists).
-        assert json.loads(encoded) == stored, (
+        fresh = json.loads(encoded)
+        for key, bound in (max_ulp or {}).items():
+            np.testing.assert_array_max_ulp(
+                np.asarray(fresh.pop(key), dtype=np.float64),
+                np.asarray(stored.pop(key), dtype=np.float64), maxulp=bound)
+        assert fresh == stored, (
             f"output diverged from frozen golden fixture {path.name}; if the "
             "change is intentional, refreeze with `pytest --regen-golden` "
             "and review the JSON diff")

@@ -22,7 +22,9 @@ from repro.combining import (
     PackedModel,
     PackingPipeline,
     PipelineConfig,
+    register_plan_compiler,
 )
+from repro.combining.execplan import _compile_module
 from repro.models import build_model
 from repro.nn import Module, PointwiseConv2d
 
@@ -154,6 +156,12 @@ def test_mx_mode_handles_bias_modules():
 
         def packable_layers(self):
             return [("pointwise", self.pointwise)]
+
+    # Packed forwards run on execution plans, so a new model family
+    # registers how its forward composes its children.
+    @register_plan_compiler(BiasedModel)
+    def _compile_biased(module, state):
+        return _compile_module(module.pointwise, state)
 
     model = BiasedModel()
     model.pointwise.weight.data *= np.random.default_rng(1).random((5, 6)) < 0.5

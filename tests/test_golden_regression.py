@@ -52,6 +52,13 @@ from repro.models import build_model
 ENGINE_COMBOS = [(grouping, prune)
                  for grouping in GROUPING_ENGINES for prune in PRUNE_ENGINES]
 
+#: ``first_logits`` leave the float classifier head, a BLAS matmul whose
+#: summation order depends on the BLAS build, so their last bits are not
+#: platform-defined: builds seen so far differ by at most 4 ULP.  Allow 8
+#: ULP; one quantization level moved anywhere upstream shifts the logits by
+#: orders of magnitude more.  Predictions, scales and layer stats stay exact.
+LOGITS_MAX_ULP = {"first_logits": 8}
+
 #: Seeded 64x128 layers at the densities the paper's workloads span.
 LAYER_CASES: tuple[tuple[int, float], ...] = (
     (0, 0.10), (1, 0.10), (2, 0.10),
@@ -206,7 +213,7 @@ def test_lenet5_quantized_forward_matches_golden(golden_check, grouping_engine,
             for calibration_entry in quantized.layer_calibrations()
         },
     }
-    golden_check("quantized_forward_lenet5", payload)
+    golden_check("quantized_forward_lenet5", payload, max_ulp=LOGITS_MAX_ULP)
 
 
 # -- serialized packed artifacts ---------------------------------------------
@@ -247,7 +254,7 @@ def _artifact_check(request, path, fresh, batch, fixture_name, golden_check):
         "fingerprints": {spec.name: fingerprint_packed(spec.packed)
                          for spec in packed.specs},
     }
-    golden_check(fixture_name, payload)
+    golden_check(fixture_name, payload, max_ulp=LOGITS_MAX_ULP)
 
 
 def test_packed_artifact_round_trip_matches_golden(request, golden_check):
