@@ -59,18 +59,18 @@ artifact-backed models, where the GIL caps thread scaling; pick threads
 for live (``add()``-registered) models or low request rates.  Either way
 the bits never change.
 
-What makes the bits batch-independent is the **batch-invariant kernel**
+What makes the bits batch-independent are the **batch-invariant kernels**
 (:mod:`repro.combining.kernels`).  A general BLAS gemm picks its
 blocking — and therefore its float summation order — from the full
 operand shapes, so a sample's bits change with the batch it rides in.
-The server's default ``kernel="blocked"`` pins the whole schedule from
+The server's blocked kernels pin the whole schedule from
 weight / spatial dimensions only: the pointwise contraction runs one
 k-blocked ``(n, c) @ (c, H*W)`` gemm per sample, the dense head runs
 fixed 16-row tiles, and per-k-block partials sum left to right.  BLAS
 never sees the batch size, so splitting a batch concatenates to the
 exact whole-batch bits — while the inner blocks still dispatch to BLAS,
-measuring ~3.8x faster than the retained ``kernel="loops"`` einsum
-reference on the ResNet-20 serving shapes (at or below the raw batched
+measuring ~3.8x faster than the einsum reduction loops they replaced
+on the ResNet-20 serving shapes (at or below the raw batched
 einsum's own time there; see ``benchmarks/test_bench_serving.py``).
 
 Run with:  python examples/serving_demo.py
@@ -191,7 +191,8 @@ def main() -> None:
         matches = 0
         for index, (name, sample) in enumerate(requests):
             resident = exact if name == "lenet5" else int8
-            expected = resident.forward(sample[None])[0]
+            expected = resident.plan.forward(sample[None], mode=resident.mode,
+                                             batch_invariant=True)[0]
             matches += np.array_equal(responses[index], expected)
         print(f"thread backend: responses bit-identical to direct forward: "
               f"{matches}/{len(requests)}")
@@ -246,8 +247,8 @@ def main() -> None:
             print(f"[{label}] served {totals['requests']} requests in "
                   f"{totals['batches']} batches "
                   f"(mean batch {totals['mean_batch_size']:.1f}), "
-                  f"{totals['cycles']} systolic cycles, kernel "
-                  f"{run_stats['kernel']}; accounting plan cache "
+                  f"{totals['cycles']} systolic cycles; "
+                  f"accounting plan cache "
                   f"{plan_cache['hits']} hits / {plan_cache['misses']} misses")
             for name, model_stats in sorted(run_stats["per_model"].items()):
                 print(f"  {name}: {model_stats['requests']} requests, "

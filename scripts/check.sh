@@ -34,7 +34,7 @@ python -m pytest -x -q -m "not slow" tests/test_combining_serialization.py \
 echo "== execution-plan differential suite (plan vs dense oracle, V2/mmap loads) =="
 python -m pytest -x -q -m "not slow" tests/test_combining_plan.py
 
-echo "== batch-invariant kernel differential suite (blocked vs loops) =="
+echo "== batch-invariant kernel suite (blocked kernels vs einsum reference) =="
 python -m pytest -x -q tests/test_combining_kernels.py
 
 echo "== observability suites (metrics/tracing/logging + serving obs) =="

@@ -32,9 +32,9 @@ Three subcommands cover the library's main workflows:
     Run the serving benchmark on a packed artifact: artifact-load vs
     re-pack cold start, then dynamic batching vs one-request-at-a-time
     throughput through the :class:`~repro.serving.server.InferenceServer`
-    (``--kernel`` picks the batch-invariant kernel; the accounting
-    plan-cache hit/miss totals are reported alongside), with the batched
-    run's queued / service latency p50/p90/p99 and flush-reason split.
+    (the accounting plan-cache hit/miss totals are reported alongside),
+    with the batched run's queued / service latency p50/p90/p99 and
+    flush-reason split.
     ``--profile`` adds per-layer wall-time accounting (top-3 slowest
     layers; responses stay bit-identical), ``--trace`` prints the last
     request traces.  ``--slo P99_MS`` evaluates the stock SLO rule set
@@ -321,11 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=_positive_int, default=1,
                        help="batch-draining threads (and, with "
                             "--backend process, worker processes)")
-    serve.add_argument("--kernel", choices=["blocked", "loops"],
-                       default="blocked",
-                       help="batch-invariant kernel every forward runs: "
-                            "'blocked' (fixed-schedule BLAS dispatch) or "
-                            "'loops' (the einsum reference)")
     serve.add_argument("--swaps", type=int, default=0,
                        help="additionally exercise live hot swap: cut the "
                             "model over between the artifact and a perturbed "
@@ -373,9 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--workers", type=_positive_int, default=1,
                         help="batch-draining threads (and worker processes "
                              "with --backend process)")
-    export.add_argument("--kernel", choices=["blocked", "loops"],
-                        default="blocked",
-                        help="batch-invariant kernel every forward runs")
     export.add_argument("--seed", type=int, default=0)
 
     stats = subparsers.add_parser(
@@ -399,9 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--workers", type=_positive_int, default=1,
                        help="batch-draining threads (and worker processes "
                             "with --backend process)")
-    stats.add_argument("--kernel", choices=["blocked", "loops"],
-                       default="blocked",
-                       help="batch-invariant kernel every forward runs")
     stats.add_argument("--traces", type=_positive_int, default=5,
                        help="how many recent request traces to keep/print")
     stats.add_argument("--format", choices=["text", "json", "prometheus"],
@@ -779,7 +768,7 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
             args.path, requests=args.requests, max_batch=args.max_batch,
             max_wait=args.max_wait, image_size=args.image_size,
             seed=args.seed, workers=args.workers, backend=args.backend,
-            kernel=args.kernel, profile=args.profile, trace=args.trace,
+            profile=args.profile, trace=args.trace,
             slo_rules=slo_rules, export_port=args.export_port)
     except FileNotFoundError:
         print(f"error: {args.path} does not exist", file=sys.stderr)
@@ -792,7 +781,7 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
     shape = "x".join(str(side) for side in results["sample_shape"])
     print(f"serving benchmark: {args.path} ({results['kind']}, "
           f"requests of shape {shape}, backend={args.backend}, "
-          f"workers={args.workers}, kernel={args.kernel})")
+          f"workers={args.workers})")
     print(format_table(
         ["cold start", "seconds"],
         [("load artifact", f"{cold['load_seconds']:.4f}"),
@@ -841,7 +830,7 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
                 args.path, swaps=args.swaps, max_batch=args.max_batch,
                 max_wait=args.max_wait, workers=args.workers,
                 backend=args.backend, image_size=args.image_size,
-                seed=args.seed, kernel=args.kernel)
+                seed=args.seed)
         except (PackedArtifactError, ValueError) as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
@@ -873,7 +862,7 @@ def _command_serve_export(args: argparse.Namespace) -> int:
             args.path, requests=args.requests, max_batch=args.max_batch,
             max_wait=args.max_wait, image_size=args.image_size,
             seed=args.seed, workers=args.workers, backend=args.backend,
-            kernel=args.kernel, trace_limit=args.traces)
+            trace_limit=args.traces)
     except FileNotFoundError:
         print(f"error: {args.path} does not exist", file=sys.stderr)
         return 2
@@ -884,7 +873,7 @@ def _command_serve_export(args: argparse.Namespace) -> int:
     written = write_chrome_trace(args.out, events)
     print(f"served {report['requests']} requests "
           f"({report['throughput']:.0f} req/s, backend={args.backend}, "
-          f"workers={args.workers}, kernel={args.kernel})")
+          f"workers={args.workers})")
     print(f"serving trace: {len(report['traces'])} traces, "
           f"{len(events)} events -> {written} "
           "(open in Perfetto / chrome://tracing)")
@@ -903,7 +892,7 @@ def _command_serve_stats(args: argparse.Namespace) -> int:
             args.path, requests=args.requests, max_batch=args.max_batch,
             max_wait=args.max_wait, image_size=args.image_size,
             seed=args.seed, workers=args.workers, backend=args.backend,
-            kernel=args.kernel, trace_limit=args.traces)
+            trace_limit=args.traces)
     except FileNotFoundError:
         print(f"error: {args.path} does not exist", file=sys.stderr)
         return 2
@@ -923,8 +912,7 @@ def _command_serve_stats(args: argparse.Namespace) -> int:
     stats = report["stats"]
     totals = stats["totals"]
     print(f"serving stats: {args.path} ({report['kind']}, "
-          f"backend={args.backend}, workers={args.workers}, "
-          f"kernel={args.kernel})")
+          f"backend={args.backend}, workers={args.workers})")
     print(format_table(
         ["totals", "value"],
         [("requests", f"{totals['requests']}"),

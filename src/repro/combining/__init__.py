@@ -102,7 +102,6 @@ from repro.combining.pipeline import (
     ordered_pool_map,
 )
 from repro.combining.inference import (
-    FORWARD_MODES,
     PackedLayerSpec,
     PackedModel,
     ensure_sample_batch,
@@ -114,12 +113,9 @@ from repro.combining.execplan import (
     register_plan_compiler,
 )
 from repro.combining.kernels import (
-    DEFAULT_KERNEL,
-    KERNELS,
     invariant_conv_pointwise,
     invariant_matmul,
     kernel_schedule,
-    validate_kernel,
 )
 from repro.combining.serialization import (
     ARTIFACT_KINDS,
@@ -179,14 +175,10 @@ __all__ = [
     "pruned_weight_count",
     "PackedFilterMatrix",
     "pack_filter_matrix",
-    "FORWARD_MODES",
     "PLAN_MODES",
-    "KERNELS",
-    "DEFAULT_KERNEL",
     "invariant_matmul",
     "invariant_conv_pointwise",
     "kernel_schedule",
-    "validate_kernel",
     "PackedLayerSpec",
     "PackedModel",
     "ExecutionPlan",

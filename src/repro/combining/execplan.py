@@ -54,12 +54,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.combining.kernels import (
-    DEFAULT_KERNEL,
-    invariant_conv_pointwise,
-    invariant_matmul,
-    validate_kernel,
-)
+from repro.combining.kernels import invariant_conv_pointwise, invariant_matmul
 from repro.combining.packing import PackedFilterMatrix
 from repro.models.lenet import LeNet5
 from repro.models.resnet import BasicBlock, ResNet20, _StridedPointwiseShortcut
@@ -84,8 +79,9 @@ from repro.quant.linear import LinearQuantizer
 from repro.systolic.array import ArrayConfig
 from repro.systolic.system import ModelExecutionPlan, SystolicSystem
 
-#: Forward modes an :class:`ExecutionPlan` can support (``"quantized"``
-#: requires the plan to carry frozen calibration scales).
+#: Forward modes an :class:`ExecutionPlan` can support — the one
+#: declaration every mode check derives from.  ``"quantized"`` (last)
+#: requires the plan to carry frozen calibration scales.
 PLAN_MODES: tuple[str, ...] = ("exact", "mx", "quantized")
 
 
@@ -93,22 +89,20 @@ class _Ctx:
     """Per-forward execution context threaded through the op tree.
 
     Holds the knobs every op dispatches on (``mode``,
-    ``batch_invariant``, the batch-invariant ``kernel``), the optional
+    ``batch_invariant``), the optional
     per-layer :class:`_LayerTap`, and — for quantized plans — the
     :class:`~repro.systolic.system.SystolicSystem` that runs the integer
     packed layers.  One ``_Ctx`` is built per ``forward`` call, so
     concurrent forwards on one plan never share mutable state.
     """
 
-    __slots__ = ("mode", "batch_invariant", "system", "kernel", "tap")
+    __slots__ = ("mode", "batch_invariant", "system", "tap")
 
     def __init__(self, mode: str, batch_invariant: bool,
-                 system: SystolicSystem | None, kernel: str,
-                 tap: _LayerTap | None):
+                 system: SystolicSystem | None, tap: _LayerTap | None):
         self.mode = mode
         self.batch_invariant = batch_invariant
         self.system = system
-        self.kernel = kernel
         self.tap = tap
 
 
@@ -261,7 +255,7 @@ class PackedLayerOp:
         elif ctx.mode == "mx":
             raw = self.packed.multiply_activations(x)
         elif ctx.batch_invariant:
-            raw = invariant_conv_pointwise(x, self.realized(), kernel=ctx.kernel)
+            raw = invariant_conv_pointwise(x, self.realized())
         else:
             raw = np.einsum("nc,bchw->bnhw", self.realized(), x, optimize=True)
         out = raw if self.bias is None else raw + self.bias[None, :, None, None]
@@ -290,7 +284,7 @@ class PointwiseOp:
                 f"PointwiseConv2d expected (batch, {self.in_channels}, H, W), "
                 f"got {x.shape}")
         if ctx.batch_invariant:
-            out = invariant_conv_pointwise(x, self.weight, kernel=ctx.kernel)
+            out = invariant_conv_pointwise(x, self.weight)
         else:
             out = np.einsum("nc,bchw->bnhw", self.weight, x, optimize=True)
         if self.bias is not None:
@@ -299,7 +293,7 @@ class PointwiseOp:
 
 
 class DenseOp:
-    """Fully connected layer (BLAS matmul / batch-invariant einsum twin)."""
+    """Fully connected layer (BLAS matmul / batch-invariant blocked twin)."""
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray | None,
                  in_features: int):
@@ -313,7 +307,7 @@ class DenseOp:
                 f"Dense expected input of shape (batch, {self.in_features}), "
                 f"got {x.shape}")
         if ctx.batch_invariant:
-            out = invariant_matmul(x, self.weight, kernel=ctx.kernel)
+            out = invariant_matmul(x, self.weight)
         else:
             out = x @ self.weight.T
         if self.bias is not None:
@@ -456,8 +450,7 @@ class ExecutionPlan:
     @property
     def modes(self) -> tuple[str, ...]:
         """Forward modes this plan supports (frozen scales gate quantized)."""
-        return ("exact", "mx", "quantized") if self.bits is not None \
-            else ("exact", "mx")
+        return PLAN_MODES if self.bits is not None else PLAN_MODES[:-1]
 
     @property
     def num_layers(self) -> int:
@@ -478,7 +471,6 @@ class ExecutionPlan:
     def forward(self, activations: np.ndarray, mode: str = "exact",
                 batch_size: int | None = None, batch_invariant: bool = False,
                 observed: dict[str, tuple[int, int]] | None = None,
-                kernel: str = DEFAULT_KERNEL,
                 profile: dict[str, int] | None = None) -> np.ndarray:
         """Run a batched forward pass.
 
@@ -488,10 +480,10 @@ class ExecutionPlan:
         batch into chunks whose outputs are concatenated; every layer is a
         per-sample computation, so chunking changes the result only
         through BLAS summation order.  ``batch_invariant=True`` runs every
-        weight-bearing op through the batch-invariant ``kernel`` (see
+        weight-bearing op through the blocked batch-invariant kernels (see
         :mod:`repro.combining.kernels`) so ``forward(x)[i:j] ==
         forward(x[i:j])`` exactly — the property :mod:`repro.serving`'s
-        dynamic batcher relies on; ``kernel`` affects nothing else.
+        dynamic batcher relies on.
 
         Plans are immutable, so there is no instance-level spatial
         record: pass a dict as ``observed`` to collect each packed
@@ -503,32 +495,29 @@ class ExecutionPlan:
         """
         tap = (_LayerTap(observed, profile)
                if observed is not None or profile is not None else None)
-        return self._run(activations, mode, batch_size, batch_invariant,
-                         kernel, tap)
+        return self._run(activations, mode, batch_size, batch_invariant, tap)
 
     def _run(self, activations: np.ndarray, mode: str,
-             batch_size: int | None, batch_invariant: bool, kernel: str,
+             batch_size: int | None, batch_invariant: bool,
              tap: _LayerTap | None) -> np.ndarray:
         """:meth:`forward` with an arbitrary tap (the package-private hook
         :class:`~repro.combining.quantized.QuantizedPackedModel` uses)."""
         if mode not in self.modes:
             raise ValueError(f"unknown forward mode {mode!r}; this plan "
                              f"supports {self.modes}")
-        validate_kernel(kernel)
         chunks = split_activation_batch(activations, batch_size)
-        ctx = _Ctx(mode, batch_invariant, self.system, kernel, tap)
+        ctx = _Ctx(mode, batch_invariant, self.system, tap)
         outputs = [self.root.apply(chunk, ctx) for chunk in chunks]
         return outputs[0] if len(outputs) == 1 else np.concatenate(outputs, axis=0)
 
     def predict(self, activations: np.ndarray, mode: str = "exact",
                 batch_size: int | None = None,
-                batch_invariant: bool = False,
-                kernel: str = DEFAULT_KERNEL) -> np.ndarray:
+                batch_invariant: bool = False) -> np.ndarray:
         """Class predictions; accepts a bare ``(C, H, W)`` sample too."""
         batch, unbatched = ensure_sample_batch(activations)
         predictions = np.argmax(
             self.forward(batch, mode=mode, batch_size=batch_size,
-                         batch_invariant=batch_invariant, kernel=kernel),
+                         batch_invariant=batch_invariant),
             axis=1)
         return predictions[0] if unbatched else predictions
 

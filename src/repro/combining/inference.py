@@ -37,15 +37,11 @@ model via :class:`~repro.combining.pipeline.PackingPipeline`) and provides:
   ``forward(batch)[i:j]`` equals ``forward(batch[i:j])`` exactly — which
   is what lets :mod:`repro.serving`'s dynamic batcher coalesce arbitrary
   requests into one forward while each response stays bit-identical to
-  the direct single-request call.  The ``kernel`` knob selects the
-  implementation: ``"blocked"`` (default) dispatches fixed-shape blocks
-  to BLAS and runs within a small factor of the unconstrained path;
-  ``"loops"`` is the original ``np.einsum(optimize=False)`` reduction
-  loops, retained as the differential reference.  The trade-off is
-  numerics-only: batch-invariant results are numerically equivalent to
-  the default path (same arithmetic up to float summation order), not
-  bitwise equal to it — and the two kernels are likewise equivalent but
-  not bitwise equal to each other.
+  the direct single-request call.  The kernels dispatch fixed-shape
+  blocks to BLAS and run within a small factor of the unconstrained
+  path.  The trade-off is numerics-only: batch-invariant results are
+  numerically equivalent to the default path (same arithmetic up to
+  float summation order), not bitwise equal to it.
 
 * **Batched sparse export** — :meth:`PackedModel.to_sparse` reconstructs
   every layer's pruned dense filter matrix in one call.
@@ -82,7 +78,6 @@ from repro.combining.execplan import (
     compile_plan,
     ensure_sample_batch,
 )
-from repro.combining.kernels import DEFAULT_KERNEL
 from repro.combining.packing import PackedFilterMatrix
 from repro.combining.pipeline import (
     PackingPipeline,
@@ -93,9 +88,6 @@ from repro.models.registry import packable_layers as _model_packable_layers
 from repro.nn import Module, PointwiseConv2d
 from repro.systolic.array import ArrayConfig
 from repro.systolic.system import ModelExecutionPlan, SystolicSystem
-
-#: Forward-pass modes of :meth:`PackedModel.forward`.
-FORWARD_MODES: tuple[str, ...] = ("exact", "mx")
 
 
 @dataclass
@@ -249,8 +241,7 @@ class PackedModel:
     # -- batched forward ----------------------------------------------------
     def forward(self, activations: np.ndarray, mode: str = "exact",
                 batch_size: int | None = None,
-                batch_invariant: bool = False,
-                kernel: str = DEFAULT_KERNEL) -> np.ndarray:
+                batch_invariant: bool = False) -> np.ndarray:
         """Run a batched forward pass through the packed network.
 
         ``activations`` is an NCHW batch.  ``mode`` selects the packed
@@ -262,7 +253,7 @@ class PackedModel:
         mode, so chunking changes the result only through BLAS summation
         order (numerically equivalent, not necessarily the same bits as
         the unchunked batch).  ``batch_invariant=True`` switches every
-        weight-bearing layer to the batch-invariant ``kernel`` (see
+        weight-bearing layer to the batch-invariant kernels (see
         :mod:`repro.combining.kernels`) so the result is bit-identical per
         sample regardless of batching — ``forward(x)[i:j] ==
         forward(x[i:j])`` exactly, for either mode — the property
@@ -274,12 +265,11 @@ class PackedModel:
         self._observed_spatial = {}
         return plan.forward(activations, mode=mode, batch_size=batch_size,
                             batch_invariant=batch_invariant,
-                            observed=self._observed_spatial, kernel=kernel)
+                            observed=self._observed_spatial)
 
     def predict(self, activations: np.ndarray, mode: str = "exact",
                 batch_size: int | None = None,
-                batch_invariant: bool = False,
-                kernel: str = DEFAULT_KERNEL) -> np.ndarray:
+                batch_invariant: bool = False) -> np.ndarray:
         """Class predictions (argmax over the final logits).
 
         Accepts either an NCHW batch (returns one prediction per sample)
@@ -290,8 +280,7 @@ class PackedModel:
         batch, unbatched = ensure_sample_batch(activations)
         predictions = np.argmax(self.forward(batch, mode=mode,
                                              batch_size=batch_size,
-                                             batch_invariant=batch_invariant,
-                                             kernel=kernel),
+                                             batch_invariant=batch_invariant),
                                 axis=1)
         return predictions[0] if unbatched else predictions
 

@@ -54,16 +54,17 @@ Fortran-ordered inputs, empty batches, and dtypes.)
 What is — and is not — bit-identical
 ------------------------------------
 
-Each kernel is bitwise batch-invariant *with respect to itself*.  The
-``"blocked"`` and ``"loops"`` kernels are **not** bitwise equal to each
-other and cannot be: BLAS contracts with fused multiply-adds and
-vectorized partial sums, the einsum C loops with sequential scalar
-multiply-then-add — same real-number value, different roundings
-(observed ~1e-13 relative).  The two kernels are therefore differential
-references for each other (``np.allclose`` tight), while the bitwise
-guarantees — the ones serving relies on — hold per kernel.  A server
-picks one kernel and keeps it; responses are then bit-identical across
-batch coalescing, worker counts, and execution backends.
+The blocked kernels are bitwise batch-invariant *with respect to
+themselves*.  They are **not** bitwise equal to the einsum reduction
+loops they replaced, and cannot be: BLAS contracts with fused
+multiply-adds and vectorized partial sums, the einsum C loops with
+sequential scalar multiply-then-add — same real-number value, different
+roundings (observed ~1e-13 relative).  Those loops survive as
+:func:`reference_matmul` / :func:`reference_conv_pointwise`, the
+differential oracle the test and benchmark suites check the blocked
+kernels against (``np.allclose`` tight); serving itself only ever runs
+the blocked kernels, so responses are bit-identical across batch
+coalescing, worker counts, and execution backends.
 
 Measured on the ResNet-20 serving shapes (see
 ``benchmarks/test_bench_serving.py``): the blocked pointwise kernel runs
@@ -76,15 +77,6 @@ the residual gap to raw BLAS is confined to the padded dense tiles.
 from __future__ import annotations
 
 import numpy as np
-
-#: Batch-invariant kernel implementations, differential references for
-#: each other.  ``"blocked"`` (the default) dispatches fixed-shape blocks
-#: to BLAS; ``"loops"`` is the original ``np.einsum(optimize=False)``
-#: reduction-loop path, kept as the executable specification.
-KERNELS: tuple[str, ...] = ("blocked", "loops")
-
-#: The kernel every batch-invariant call site defaults to.
-DEFAULT_KERNEL: str = "blocked"
 
 #: Fixed row-tile height of the blocked :func:`invariant_matmul`.  Every
 #: BLAS call sees exactly this many rows (the last tile is zero-padded),
@@ -100,14 +92,6 @@ M_TILE: int = 16
 #: batch), pinning the accumulation tree: partial products are summed in
 #: schedule order.
 K_BLOCK: int = 512
-
-
-def validate_kernel(kernel: str) -> str:
-    """Return ``kernel`` if known, else raise the canonical ``ValueError``."""
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown batch-invariant kernel {kernel!r}; "
-                         f"expected one of {KERNELS}")
-    return kernel
 
 
 def kernel_schedule(k_dim: int) -> tuple[tuple[int, int], ...]:
@@ -171,60 +155,44 @@ def _blocked_matmul(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return out
 
 
-def invariant_matmul(x: np.ndarray, weight: np.ndarray,
-                     kernel: str = DEFAULT_KERNEL) -> np.ndarray:
+def invariant_matmul(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """Batch-invariant ``x @ weight.T`` (the :class:`Dense` contraction).
 
     ``x`` is a ``(batch, in_features)`` activation matrix and ``weight``
-    an ``(out_features, in_features)`` filter matrix.  For either kernel,
+    an ``(out_features, in_features)`` filter matrix.
     ``invariant_matmul(x)[i:j]`` is bitwise equal to
-    ``invariant_matmul(x[i:j])``; the two kernels agree to ``allclose``
-    but not bitwise (see the module docstring).  Bias addition is left to
-    the caller — elementwise adds are batch-invariant on their own.
+    ``invariant_matmul(x[i:j])``; :func:`reference_matmul` agrees to
+    ``allclose`` but not bitwise (see the module docstring).  Bias
+    addition is left to the caller — elementwise adds are batch-invariant
+    on their own.
     """
-    validate_kernel(kernel)
     x = np.asarray(x)
     weight = np.asarray(weight)
     if x.ndim != 2 or weight.ndim != 2 or x.shape[1] != weight.shape[1]:
         raise ValueError(
             f"invariant_matmul expects (batch, k) @ (n, k).T; got "
             f"{x.shape} and {weight.shape}")
-    if kernel == "loops":
-        # einsum's loop order follows operand memory layout, so the legacy
-        # reduction loops are batch-invariant only for a fixed layout;
-        # canonicalizing to C order (a no-op on every legacy call site,
-        # which always passed contiguous batches) makes the guarantee
-        # hold for strided and Fortran-ordered inputs too.
-        return np.einsum("bi,oi->bo", np.ascontiguousarray(x),
-                         np.ascontiguousarray(weight))
     return _blocked_matmul(x, weight)
 
 
-def invariant_conv_pointwise(x: np.ndarray, weight: np.ndarray,
-                             kernel: str = DEFAULT_KERNEL) -> np.ndarray:
+def invariant_conv_pointwise(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """Batch-invariant 1x1 convolution (the packed/pointwise contraction).
 
     ``x`` is an NCHW activation batch, ``weight`` an
     ``(out_channels, in_channels)`` filter matrix; returns the NCHW
-    result of contracting the channel axis.  The blocked kernel runs one
+    result of contracting the channel axis.  It runs one
     k-blocked ``(n, c) @ (c, H*W)`` gemm per sample — a dispatch shape
     built from channel and spatial dimensions only, never the batch, and
     one that needs no layout transposes at all (each sample's channel
     plane is already a contiguous ``(c, H*W)`` matrix).  Same bit
     contract as :func:`invariant_matmul`.
     """
-    validate_kernel(kernel)
     x = np.asarray(x)
     weight = np.asarray(weight)
     if x.ndim != 4 or weight.ndim != 2 or x.shape[1] != weight.shape[1]:
         raise ValueError(
             f"invariant_conv_pointwise expects (batch, c, H, W) against "
             f"(n, c); got {x.shape} and {weight.shape}")
-    if kernel == "loops":
-        # See invariant_matmul: C-order canonicalization pins einsum's
-        # loop order independent of the caller's memory layout.
-        return np.einsum("nc,bchw->bnhw", np.ascontiguousarray(weight),
-                         np.ascontiguousarray(x))
     batch, channels, height, width = x.shape
     n_out = weight.shape[0]
     dtype = np.result_type(x.dtype, weight.dtype)
@@ -247,3 +215,24 @@ def invariant_conv_pointwise(x: np.ndarray, weight: np.ndarray,
         for block_start, block_stop in schedule[1:]:
             target += weight[:, block_start:block_stop] @ plane[block_start:block_stop]
     return out
+
+
+# -- the einsum reference ----------------------------------------------------
+# einsum's loop order follows operand memory layout, so the reduction loops
+# are batch-invariant only for a fixed layout; canonicalizing to C order
+# makes the guarantee hold for strided and Fortran-ordered inputs too.
+
+def reference_matmul(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``x @ weight.T`` as ``np.einsum(optimize=False)`` reduction loops.
+
+    The executable specification :func:`invariant_matmul` is checked
+    against (``allclose``, not bitwise); batch-invariant on its own.
+    """
+    return np.einsum("bi,oi->bo", np.ascontiguousarray(x),
+                     np.ascontiguousarray(weight))
+
+
+def reference_conv_pointwise(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """The einsum reduction-loop twin of :func:`invariant_conv_pointwise`."""
+    return np.einsum("nc,bchw->bnhw", np.ascontiguousarray(weight),
+                     np.ascontiguousarray(x))

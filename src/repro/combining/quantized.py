@@ -72,7 +72,6 @@ from repro.combining.execplan import (
     ensure_sample_batch,
 )
 from repro.combining.inference import PackedModel
-from repro.combining.kernels import DEFAULT_KERNEL
 from repro.combining.pipeline import PackingPipeline, PipelineConfig, PipelineResult
 from repro.nn import Module
 from repro.quant.linear import CALIBRATIONS, LinearQuantizer
@@ -303,7 +302,6 @@ class QuantizedPackedModel:
         """
         layer_inputs: dict[str, np.ndarray] = {}
         self.packed.compile_plan()._run(batch, "exact", None, False,
-                                        DEFAULT_KERNEL,
                                         _QuantizedTap(inputs=layer_inputs))
         calibrations: dict[str, LayerCalibration] = {}
         for spec in self.packed.specs:
@@ -362,8 +360,7 @@ class QuantizedPackedModel:
     def forward(self, activations: np.ndarray, batch_size: int | None = None,
                 capture_layer_outputs: bool = False,
                 track_errors: bool = True,
-                batch_invariant: bool = False,
-                kernel: str = DEFAULT_KERNEL) -> np.ndarray:
+                batch_invariant: bool = False) -> np.ndarray:
         """Run a batched integer forward through every packed layer.
 
         Mirrors :meth:`PackedModel.forward`'s batching contract
@@ -383,8 +380,7 @@ class QuantizedPackedModel:
         numerics (see :meth:`PackedModel.forward`): the packed integer
         execution is already batch-invariant by construction (frozen
         scales make its sums exact), so the flag switches the surrounding
-        float ops (classifier heads) to their batch-invariant twins
-        running the selected ``kernel`` (see
+        float ops (classifier heads) to their batch-invariant twins (see
         :mod:`repro.combining.kernels`), making the whole chain
         bit-identical per sample under any request coalescing.
         """
@@ -398,11 +394,10 @@ class QuantizedPackedModel:
                             stats=self._stats, track_errors=track_errors,
                             outputs=self._last_layer_outputs)
         return plan._run(activations, "quantized", batch_size,
-                         batch_invariant, kernel, tap)
+                         batch_invariant, tap)
 
     def predict(self, activations: np.ndarray, batch_size: int | None = None,
-                batch_invariant: bool = False,
-                kernel: str = DEFAULT_KERNEL) -> np.ndarray:
+                batch_invariant: bool = False) -> np.ndarray:
         """Class predictions (argmax over the final logits).
 
         Mirrors :meth:`PackedModel.predict`: a single unbatched
@@ -413,7 +408,7 @@ class QuantizedPackedModel:
         batch, unbatched = ensure_sample_batch(activations)
         predictions = np.argmax(
             self.forward(batch, batch_size=batch_size, track_errors=False,
-                         batch_invariant=batch_invariant, kernel=kernel),
+                         batch_invariant=batch_invariant),
             axis=1)
         return predictions[0] if unbatched else predictions
 

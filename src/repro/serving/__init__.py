@@ -47,7 +47,11 @@ picklable op tree; running it touches no shared state, so:
   cache, so N processes serving one artifact share one resident copy;
 * the process backend ships ``(artifact path, content fingerprint,
   mode, batch)`` to persistent workers that map the plan themselves —
-  one batch of activations crosses the boundary each way, never a model.
+  one batch of activations crosses the boundary each way, never a model;
+* both backends run one batch executor,
+  :meth:`~repro.serving.registry.ResidentModel.serve_batch` — the same
+  forward, profile recording and systolic accounting whether it runs on
+  a drain thread or in a worker process.
 
 Live redeploy (hot swap)
 ------------------------
@@ -83,22 +87,20 @@ Batch-invariant numerics used to mean a performance tax: every
 weight-bearing layer ran ``np.einsum(optimize=False)`` reduction loops
 because a general BLAS gemm picks its blocking — and therefore its float
 summation order — from the full operand shapes, batch included.  The
-server now defaults to the **blocked batch-invariant kernel**
-(:mod:`repro.combining.kernels`, ``kernel="blocked"``): blocked GEMM
-whose entire schedule — per-sample dispatch for the pointwise
-contraction, fixed :data:`~repro.combining.kernels.M_TILE` row tiles for
-the dense head, :data:`~repro.combining.kernels.K_BLOCK` reduction
-blocks summed in pinned left-to-right order — is chosen only from
-weight / spatial dimensions, never the batch size.  Every inner block
-still dispatches to BLAS on contiguous slices, so the measured packed
-layers run ~3.8x faster than the einsum loops (at or below the *raw*
-batched-BLAS einsum time on the ResNet-20 serving shapes — the
-per-sample gemm skips the batched dispatch's internal transposes), while
-splitting a batch still concatenates to the exact whole-batch bits.
-``kernel="loops"`` keeps the einsum path as the differential reference;
-each kernel is bitwise batch-invariant with respect to itself, and a
-server runs the one it was built with everywhere (thread and process
-backends alike).  Determinism is now the cheap default serving mode.
+server runs the **blocked batch-invariant kernels**
+(:mod:`repro.combining.kernels`): blocked GEMM whose entire schedule —
+per-sample dispatch for the pointwise contraction, fixed
+:data:`~repro.combining.kernels.M_TILE` row tiles for the dense head,
+:data:`~repro.combining.kernels.K_BLOCK` reduction blocks summed in
+pinned left-to-right order — is chosen only from weight / spatial
+dimensions, never the batch size.  Every inner block still dispatches to
+BLAS on contiguous slices, so the measured packed layers run ~3.8x
+faster than the einsum loops (at or below the *raw* batched-BLAS einsum
+time on the ResNet-20 serving shapes — the per-sample gemm skips the
+batched dispatch's internal transposes), while splitting a batch still
+concatenates to the exact whole-batch bits.  The einsum loops remain
+only as the tests' differential reference.  Determinism is the cheap
+default serving mode.
 
 Observability data flow
 -----------------------

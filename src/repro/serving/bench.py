@@ -28,13 +28,6 @@ repeatedly cuts the model over between two artifacts, and every response
 must be bit-identical to one of the two artifacts' direct forwards —
 zero dropped requests, zero ambiguous bits — while the swap wall time
 (probe + side-load + atomic flip) is reported per cutover.
-
-A fourth measurement justifies the blocked batch-invariant kernel:
-:func:`kernel_gap_benchmark` times the packed-layer contractions of one
-model three ways — the ``"loops"`` einsum kernel, the ``"blocked"``
-kernel, and the unconstrained raw-BLAS dispatch — over the shapes a
-serving forward actually runs, reporting the blocked speedup over loops
-and the residual gap to BLAS.
 """
 
 from __future__ import annotations
@@ -47,11 +40,6 @@ from typing import Any
 import numpy as np
 
 from repro.combining.inference import PackedModel
-from repro.combining.kernels import (
-    DEFAULT_KERNEL,
-    invariant_conv_pointwise,
-    validate_kernel,
-)
 from repro.combining.pipeline import PipelineConfig
 from repro.combining.quantized import QuantizedPackedModel
 from repro.combining.serialization import load_packed
@@ -118,8 +106,7 @@ def _serving_mode(loaded: PackedModel | QuantizedPackedModel) -> str:
 def _serve_stream(loaded: PackedModel | QuantizedPackedModel,
                   samples: np.ndarray, max_batch: int, max_wait: float,
                   workers: int = 1, backend: str = "thread",
-                  path: str | Path | None = None,
-                  kernel: str = DEFAULT_KERNEL, profile: bool = False,
+                  path: str | Path | None = None, profile: bool = False,
                   trace_capacity: int = 0,
                   slo_rules: tuple[SLORule, ...] | None = None,
                   export_port: int | None = None
@@ -148,8 +135,8 @@ def _serve_stream(loaded: PackedModel | QuantizedPackedModel,
     else:
         registry.add("bench", loaded)
     with InferenceServer(registry, max_batch=max_batch, max_wait=max_wait,
-                         workers=workers, backend=backend, kernel=kernel,
-                         profile=profile, trace_capacity=trace_capacity,
+                         workers=workers, backend=backend, profile=profile,
+                         trace_capacity=trace_capacity,
                          slo=slo_rules) as server:
         exporter = (server.serve_metrics(port=export_port)
                     if export_port is not None else None)
@@ -186,17 +173,15 @@ def _serve_stream(loaded: PackedModel | QuantizedPackedModel,
     return elapsed, outputs, stats, obs
 
 
-def _direct_reference(loaded: PackedModel | QuantizedPackedModel,
-                      kernel: str = DEFAULT_KERNEL):
+def _direct_reference(loaded: PackedModel | QuantizedPackedModel):
     """The per-sample reference forward every served response must match."""
     if isinstance(loaded, QuantizedPackedModel):
         def direct(sample: np.ndarray) -> np.ndarray:
             return loaded.forward(sample[None], track_errors=False,
-                                  batch_invariant=True, kernel=kernel)[0]
+                                  batch_invariant=True)[0]
     else:
         def direct(sample: np.ndarray) -> np.ndarray:
-            return loaded.forward(sample[None], batch_invariant=True,
-                                  kernel=kernel)[0]
+            return loaded.forward(sample[None], batch_invariant=True)[0]
     return direct
 
 
@@ -214,7 +199,7 @@ def throughput_benchmark(loaded: PackedModel | QuantizedPackedModel,
                          max_wait: float = 0.002, workers: int = 1,
                          backend: str = "thread",
                          path: str | Path | None = None,
-                         kernel: str = DEFAULT_KERNEL, profile: bool = False,
+                         profile: bool = False,
                          trace: bool = False,
                          slo_rules: tuple[SLORule, ...] | None = None,
                          export_port: int | None = None) -> dict[str, Any]:
@@ -228,7 +213,7 @@ def throughput_benchmark(loaded: PackedModel | QuantizedPackedModel,
     and flush-reason split, and ``bit_identical_to_direct`` — whether
     every batched response matched the direct ``forward`` call on its own
     request, which the batch-invariant serving path guarantees regardless
-    of ``backend``, ``workers``, ``kernel``, and (``profile=True``)
+    of ``backend``, ``workers``, and (``profile=True``)
     per-layer profiling.  Profiling adds ``slowest_layers``; ``trace``
     retains the batched run's request traces (``traces`` /
     ``trace_stats``).  ``slo_rules`` / ``export_port`` run the batched
@@ -238,16 +223,15 @@ def throughput_benchmark(loaded: PackedModel | QuantizedPackedModel,
     """
     sequential_seconds, sequential_outputs, sequential_stats, _ = (
         _serve_stream(loaded, samples, max_batch=1, max_wait=0.0,
-                      workers=workers, backend=backend, path=path,
-                      kernel=kernel))
+                      workers=workers, backend=backend, path=path))
     batched_seconds, batched_outputs, batched_stats, batched_obs = (
         _serve_stream(loaded, samples, max_batch=max_batch,
                       max_wait=max_wait, workers=workers, backend=backend,
-                      path=path, kernel=kernel, profile=profile,
+                      path=path, profile=profile,
                       trace_capacity=256 if trace else 0,
                       slo_rules=slo_rules, export_port=export_port))
 
-    direct = _direct_reference(loaded, kernel=kernel)
+    direct = _direct_reference(loaded)
     bit_identical = all(
         np.array_equal(batched, direct(sample))
         and np.array_equal(sequential, batched)
@@ -260,7 +244,6 @@ def throughput_benchmark(loaded: PackedModel | QuantizedPackedModel,
         "max_batch": max_batch,
         "backend": backend,
         "workers": workers,
-        "kernel": kernel,
         "profile": profile,
         "sequential_seconds": sequential_seconds,
         "batched_seconds": batched_seconds,
@@ -291,7 +274,6 @@ def profiling_overhead_benchmark(loaded: PackedModel | QuantizedPackedModel,
                                  max_wait: float = 0.002, workers: int = 1,
                                  backend: str = "thread",
                                  path: str | Path | None = None,
-                                 kernel: str = DEFAULT_KERNEL,
                                  repeats: int = 3) -> dict[str, Any]:
     """Served wall time with per-layer profiling off vs on.
 
@@ -310,8 +292,7 @@ def profiling_overhead_benchmark(loaded: PackedModel | QuantizedPackedModel,
         for _ in range(repeats):
             seconds, run_outputs, _, _ = _serve_stream(
                 loaded, samples, max_batch=max_batch, max_wait=max_wait,
-                workers=workers, backend=backend, path=path, kernel=kernel,
-                profile=profile)
+                workers=workers, backend=backend, path=path, profile=profile)
             if seconds < elapsed:
                 elapsed = seconds
             outputs = run_outputs
@@ -327,7 +308,6 @@ def profiling_overhead_benchmark(loaded: PackedModel | QuantizedPackedModel,
         "repeats": repeats,
         "backend": backend,
         "workers": workers,
-        "kernel": kernel,
         "plain_seconds": plain_seconds,
         "profiled_seconds": profiled_seconds,
         "overhead": (profiled_seconds / plain_seconds - 1.0
@@ -339,8 +319,7 @@ def profiling_overhead_benchmark(loaded: PackedModel | QuantizedPackedModel,
 def backend_scaling_benchmark(path: str | Path, requests: int = 64,
                               max_batch: int = 8, max_wait: float = 0.001,
                               worker_counts: tuple[int, ...] = (1, 2, 4),
-                              image_size: int = 8, seed: int = 0,
-                              kernel: str = DEFAULT_KERNEL
+                              image_size: int = 8, seed: int = 0
                               ) -> dict[str, Any]:
     """Thread vs process backend over increasing worker counts.
 
@@ -359,7 +338,7 @@ def backend_scaling_benchmark(path: str | Path, requests: int = 64,
                                  model_spec=info.get("model_spec"))
     rng = np.random.default_rng(seed)
     samples = rng.normal(size=(requests, *shape))
-    direct = _direct_reference(loaded, kernel=kernel)
+    direct = _direct_reference(loaded)
     expected = [direct(sample) for sample in samples]
 
     cells: dict[str, dict[int, dict[str, float]]] = {}
@@ -369,7 +348,7 @@ def backend_scaling_benchmark(path: str | Path, requests: int = 64,
         for workers in worker_counts:
             seconds, outputs, _, _ = _serve_stream(
                 loaded, samples, max_batch=max_batch, max_wait=max_wait,
-                workers=workers, backend=backend, path=path, kernel=kernel)
+                workers=workers, backend=backend, path=path)
             bit_identical &= all(np.array_equal(output, reference)
                                  for output, reference
                                  in zip(outputs, expected))
@@ -424,7 +403,6 @@ def run_serving_benchmark(path: str | Path, requests: int = 96,
                           max_batch: int = 16, max_wait: float = 0.002,
                           image_size: int = 8, seed: int = 0,
                           workers: int = 1, backend: str = "thread",
-                          kernel: str = DEFAULT_KERNEL,
                           profile: bool = False, trace: bool = False,
                           slo_rules: tuple[SLORule, ...] | None = None,
                           export_port: int | None = None
@@ -438,7 +416,6 @@ def run_serving_benchmark(path: str | Path, requests: int = 96,
     """
     if requests < 1:
         raise ValueError("requests must be >= 1")
-    validate_kernel(kernel)
     cold = cold_start_benchmark(path)
     loaded = cold.pop("loaded")
     from repro.combining.serialization import artifact_info
@@ -451,7 +428,7 @@ def run_serving_benchmark(path: str | Path, requests: int = 96,
     throughput = throughput_benchmark(loaded, samples, max_batch=max_batch,
                                       max_wait=max_wait, workers=workers,
                                       backend=backend, path=path,
-                                      kernel=kernel, profile=profile,
+                                      profile=profile,
                                       trace=trace, slo_rules=slo_rules,
                                       export_port=export_port)
     return {"kind": info["kind"], "sample_shape": shape,
@@ -462,7 +439,6 @@ def observability_report(path: str | Path, requests: int = 32,
                          max_batch: int = 8, max_wait: float = 0.001,
                          image_size: int = 8, seed: int = 0,
                          workers: int = 1, backend: str = "thread",
-                         kernel: str = DEFAULT_KERNEL,
                          trace_limit: int = 5) -> dict[str, Any]:
     """One profiled, traced serving run distilled into a stats report.
 
@@ -475,7 +451,6 @@ def observability_report(path: str | Path, requests: int = 32,
     """
     if requests < 1:
         raise ValueError("requests must be >= 1")
-    validate_kernel(kernel)
     loaded = load_packed(path)
     from repro.combining.serialization import artifact_info
 
@@ -486,7 +461,7 @@ def observability_report(path: str | Path, requests: int = 32,
     samples = rng.normal(size=(requests, *shape))
     seconds, _, stats, obs = _serve_stream(
         loaded, samples, max_batch=max_batch, max_wait=max_wait,
-        workers=workers, backend=backend, path=path, kernel=kernel,
+        workers=workers, backend=backend, path=path,
         profile=True, trace_capacity=max(trace_limit, 1))
     return {
         "kind": info["kind"],
@@ -546,8 +521,7 @@ def hot_swap_benchmark(path: str | Path, swaps: int = 4,
                        requests_per_swap: int = 24, max_batch: int = 8,
                        max_wait: float = 0.001, workers: int = 2,
                        backend: str = "thread", image_size: int = 8,
-                       seed: int = 0, kernel: str = DEFAULT_KERNEL
-                       ) -> dict[str, Any]:
+                       seed: int = 0) -> dict[str, Any]:
     """Repeated live cutovers under traffic; every response old or new bits.
 
     Builds a perturbed same-architecture copy of the artifact, then
@@ -568,7 +542,6 @@ def hot_swap_benchmark(path: str | Path, swaps: int = 4,
 
     if swaps < 1:
         raise ValueError("swaps must be >= 1")
-    validate_kernel(kernel)
     loaded = load_packed(path)
     if isinstance(loaded, QuantizedPackedModel):
         raise ValueError(
@@ -578,13 +551,13 @@ def hot_swap_benchmark(path: str | Path, swaps: int = 4,
     shape = resolve_sample_shape(loaded, image_size,
                                  model_spec=info.get("model_spec"))
     rng = np.random.default_rng(seed)
-    direct_old = _direct_reference(loaded, kernel=kernel)
+    direct_old = _direct_reference(loaded)
 
     with tempfile.TemporaryDirectory() as tmp:
         alt_path = Path(tmp) / "swap-target.npz"
         alt = _perturbed_artifact_copy(loaded, alt_path,
                                        model_spec=info.get("model_spec"))
-        direct_new = _direct_reference(alt, kernel=kernel)
+        direct_new = _direct_reference(alt)
 
         registry = ModelRegistry(max_resident=2)
         registry.register("bench", path=path, mode="exact")
@@ -594,7 +567,7 @@ def hot_swap_benchmark(path: str | Path, swaps: int = 4,
         started = monotonic()
         with InferenceServer(registry, max_batch=max_batch,
                              max_wait=max_wait, workers=workers,
-                             backend=backend, kernel=kernel) as server:
+                             backend=backend) as server:
             for index in range(swaps):
                 samples = rng.normal(size=(requests_per_swap, *shape))
                 pending = [server.submit("bench", sample)
@@ -620,7 +593,6 @@ def hot_swap_benchmark(path: str | Path, swaps: int = 4,
     return {
         "backend": backend,
         "workers": workers,
-        "kernel": kernel,
         "swaps": swaps,
         "requests": total,
         "seconds": elapsed,
@@ -637,78 +609,3 @@ def hot_swap_benchmark(path: str | Path, swaps: int = 4,
         "final_generation": registry_stats["generations"]["bench"],
         "registry_swaps": registry_stats["swaps"],
     }
-
-
-def kernel_gap_benchmark(loaded: PackedModel | QuantizedPackedModel,
-                         image_size: int = 32, batch: int = 8,
-                         seed: int = 0, repeats: int = 3) -> dict[str, Any]:
-    """Three-way timing of the packed-layer contractions: loops / blocked / BLAS.
-
-    Probes one batch-invariant forward to collect each packed layer's
-    realized weight matrix and the activation shape it sees at
-    ``image_size``, then times that layer's contraction under the
-    ``"loops"`` kernel, the ``"blocked"`` kernel, and the unconstrained
-    raw-BLAS einsum (``optimize=True``) — min over ``repeats`` — on
-    random activations of the serving shape.  This is the serving hot
-    path measured where it runs: per packed-layer GEMM, at the batch
-    size dynamic coalescing actually produces.
-
-    Returns per-layer rows plus totals with ``blocked_speedup``
-    (loops seconds / blocked seconds — the factor determinism stops
-    costing) and ``blas_gap`` (blocked seconds / raw-BLAS seconds — the
-    residual price of pinning the schedule; < 1 means blocked is faster
-    than the naive batched dispatch).  ``numerically_equivalent``
-    confirms the three paths agree to ``allclose`` on every layer.
-    """
-    packed = (loaded.packed if isinstance(loaded, QuantizedPackedModel)
-              else loaded)
-    if packed.model is None:
-        raise ValueError("kernel gap benchmark needs a model-backed artifact")
-    channels = packed.specs[0].packed.original_shape[1]
-    rng = np.random.default_rng(seed)
-    probe = rng.normal(size=(batch, channels, image_size, image_size))
-    packed.forward(probe, batch_invariant=True)
-    observed = packed.observed_spatial_map()
-
-    def best(timed) -> float:
-        elapsed = float("inf")
-        for _ in range(repeats):
-            started = monotonic()
-            timed()
-            elapsed = min(elapsed, monotonic() - started)
-        return elapsed
-
-    layers = []
-    totals = {"loops_seconds": 0.0, "blocked_seconds": 0.0,
-              "blas_seconds": 0.0}
-    equivalent = True
-    for spec in packed.specs:
-        weight = spec.realized()
-        height, width = observed[spec.name]
-        x = rng.normal(size=(batch, weight.shape[1], height, width))
-        loops_s = best(lambda: invariant_conv_pointwise(x, weight, "loops"))
-        blocked_s = best(lambda: invariant_conv_pointwise(x, weight, "blocked"))
-        blas_s = best(lambda: np.einsum("nc,bchw->bnhw", weight, x,
-                                        optimize=True))
-        equivalent &= np.allclose(
-            invariant_conv_pointwise(x, weight, "blocked"),
-            invariant_conv_pointwise(x, weight, "loops"),
-            rtol=1e-9, atol=1e-11)
-        layers.append({
-            "name": spec.name, "shape": weight.shape,
-            "spatial": (height, width),
-            "loops_seconds": loops_s, "blocked_seconds": blocked_s,
-            "blas_seconds": blas_s,
-            "blocked_speedup": loops_s / blocked_s if blocked_s else 0.0,
-        })
-        totals["loops_seconds"] += loops_s
-        totals["blocked_seconds"] += blocked_s
-        totals["blas_seconds"] += blas_s
-    totals["blocked_speedup"] = (totals["loops_seconds"]
-                                 / totals["blocked_seconds"]
-                                 if totals["blocked_seconds"] else 0.0)
-    totals["blas_gap"] = (totals["blocked_seconds"] / totals["blas_seconds"]
-                          if totals["blas_seconds"] else 0.0)
-    return {"batch": batch, "image_size": image_size, "repeats": repeats,
-            "layers": layers, "totals": totals,
-            "numerically_equivalent": equivalent}

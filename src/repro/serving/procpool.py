@@ -5,8 +5,9 @@ mode, batch)`` to a pool of long-lived worker processes instead of
 running the forward on a server thread.  Each worker lazily loads the
 artifact **once per content generation** through
 :func:`~repro.combining.serialization.load_plan` with ``mmap="auto"``
-and caches the resulting :class:`~repro.combining.execplan.ExecutionPlan`
-in its own module globals, keyed by ``(path, fingerprint)`` — so N
+and caches a :class:`~repro.serving.registry.ResidentModel` over the
+resulting :class:`~repro.combining.execplan.ExecutionPlan` in its own
+module globals, keyed by ``(path, fingerprint, mode)`` — so N
 workers serving one V2 uncompressed artifact share a single resident
 copy of the packed arrays through the page cache, the cost of crossing
 the process boundary is one batch of activations each way (never a
@@ -15,10 +16,11 @@ its next batch: the registry's new fingerprint misses the cache, the
 worker re-verifies the file against it, and the superseded plan ages out
 of the bounded LRU.
 
-Because a worker runs the same plan forward, with the same
-batch-invariant kernels, as the in-process thread backend, responses
-computed in a worker process are bit-identical to the thread backend's — the server's determinism guarantee holds across
-backends and worker counts.
+Because a worker runs the thread backend's own batch executor
+(:meth:`~repro.serving.registry.ResidentModel.serve_batch`), responses
+computed in a worker process are bit-identical to the thread backend's —
+the server's determinism guarantee holds across backends and worker
+counts.
 
 Fork safety: :class:`ProcessWorkerPool` is created and warmed (one no-op
 task per worker, forcing every fork) before the server spawns its drain
@@ -36,34 +38,33 @@ from typing import Any
 
 import numpy as np
 
-from repro.combining.kernels import DEFAULT_KERNEL
+from repro.combining.serialization import (
+    PackedArtifactError,
+    artifact_fingerprint,
+    load_plan,
+)
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
+from repro.serving.registry import ResidentModel
 from repro.utils.lru import LRUCache
 
-#: How many distinct ``(path, fingerprint)`` plans one worker keeps
-#: resident.  Plans are the expensive entries (they pin the mmap'd
+#: How many distinct ``(path, fingerprint, mode)`` entries one worker
+#: keeps resident.  Plans are the expensive part (they pin the mmap'd
 #: arrays), and a worker serving a registry that hot-swaps artifacts
-#: would otherwise accumulate every superseded generation forever.
+#: would otherwise accumulate every superseded generation forever.  Each
+#: entry's accounting cache is bounded too (``ACCOUNTING_PLAN_CACHE_SIZE``
+#: in :mod:`repro.serving.registry`).
 PLAN_CACHE_SIZE = 4
 
-#: Bound on the per-worker systolic accounting-plan cache — its key
-#: space (artifact x batch size x observed spatial map) is unbounded
-#: under varied traffic.
-BATCH_PLAN_CACHE_SIZE = 32
-
-#: Per-process plan cache: ``(artifact path, content fingerprint)`` ->
-#: loaded ExecutionPlan.  Lives in the worker's own interpreter; the
-#: parent never touches it.  Keying by fingerprint — not path alone — is
-#: what makes artifact hot-swap safe: after a
+#: Per-process cache: ``(artifact path, content fingerprint, mode)`` ->
+#: :class:`~repro.serving.registry.ResidentModel` over the loaded plan.
+#: Lives in the worker's own interpreter; the parent never touches it.
+#: Keying by fingerprint — not path alone — is what makes artifact
+#: hot-swap safe: after a
 #: :meth:`~repro.serving.registry.ModelRegistry.swap` the registry hands
 #: out the new content token, so a warm worker can never serve a
 #: superseded plan it cached under the same path.
 _PLAN_CACHE: LRUCache = LRUCache(PLAN_CACHE_SIZE)
-
-#: Per-process systolic batch-plan cache, keyed like
-#: ResidentModel's accounting cache but per (artifact, fingerprint).
-_BATCH_PLAN_CACHE: LRUCache = LRUCache(BATCH_PLAN_CACHE_SIZE)
 
 #: Per-process observability registry.  Profiled batches record their
 #: per-layer and whole-forward wall times here, and every profiled
@@ -76,16 +77,11 @@ _BATCH_PLAN_CACHE: LRUCache = LRUCache(BATCH_PLAN_CACHE_SIZE)
 _WORKER_METRICS = MetricsRegistry()
 
 
-def _plan_for(path: str, fingerprint: str | None = None):
-    key = (path, fingerprint)
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        from repro.combining.serialization import (
-            PackedArtifactError,
-            artifact_fingerprint,
-            load_plan,
-        )
-
+def _resident_for(path: str, fingerprint: str | None,
+                  mode: str) -> ResidentModel:
+    key = (path, fingerprint, mode)
+    resident = _PLAN_CACHE.get(key)
+    if resident is None:
         if fingerprint is not None:
             actual = artifact_fingerprint(path)
             if actual != fingerprint:
@@ -95,9 +91,9 @@ def _plan_for(path: str, fingerprint: str | None = None):
                     f"fingerprints as {actual}; cut the model over with "
                     "ModelRegistry.swap(name, path) instead of overwriting "
                     "its artifact in place")
-        plan = load_plan(path, mmap="auto")
-        _PLAN_CACHE.put(key, plan)
-    return plan
+        resident = ResidentModel(path, mode, load_plan(path, mmap="auto"))
+        _PLAN_CACHE.put(key, resident)
+    return resident
 
 
 def _warm_worker() -> int:
@@ -106,7 +102,6 @@ def _warm_worker() -> int:
 
 
 def _run_plan_batch(path: str, mode: str, batch: np.ndarray,
-                    kernel: str = DEFAULT_KERNEL,
                     fingerprint: str | None = None,
                     profile: bool = False,
                     model_name: str | None = None
@@ -115,74 +110,33 @@ def _run_plan_batch(path: str, mode: str, batch: np.ndarray,
     """One serving forward inside a worker:
     ``(outputs, cycles, tiles, plan_cache_hit, obs)``.
 
-    Mirrors the thread backend exactly: batch-invariant plan forward with
-    the server's ``kernel``, then best-effort systolic cycle / tile
-    accounting from the observed spatial map (a timing-model failure must
-    not fail a batch whose forward already succeeded — it reports
-    ``plan_cache_hit=None`` instead).  The hit flag reflects *this
-    worker's* ``_BATCH_PLAN_CACHE``: each process pays its own misses, so
-    the server-side hit/miss totals expose how much accounting work the
-    process backend duplicates across workers.
+    Runs :meth:`~repro.serving.registry.ResidentModel.serve_batch` — the
+    thread backend's executor — on this worker's cached entry for the
+    artifact, so the forward, the profile recording and the best-effort
+    systolic accounting are the thread backend's own.  The hit flag
+    reflects *this worker's* accounting cache: each process pays its own
+    misses, so the server-side hit/miss totals expose how much accounting
+    work the process backend duplicates across workers.
 
     ``fingerprint`` is the content token the registry probed for the
-    artifact; both caches key on it, and a cache miss re-verifies it
+    artifact; the cache keys on it, and a cache miss re-verifies it
     against the file before loading, so a warm worker can neither serve a
     superseded cached plan nor silently adopt an artifact that was
     overwritten in place behind the registry's back.
 
-    ``profile`` opts into per-layer wall-time accounting
-    (``ExecutionPlan.forward(profile=...)`` — wrapping only, outputs
-    bit-identical): this batch's per-layer nanoseconds are recorded into
-    the worker's persistent :data:`_WORKER_METRICS` registry (histograms
-    labelled by model and layer) and the last element of the result
-    becomes ``{"pid", "layer_ns", "forward_ns", "snapshot"}`` — the
-    per-batch timings for the server's trace, plus this worker's full
-    registry snapshot for the server-side merge.  Unprofiled batches
-    return ``None`` there and pay nothing.
+    ``profile`` records the batch into the worker's persistent
+    :data:`_WORKER_METRICS` registry (labelled by ``model_name``, else
+    the path) and adds ``pid`` and the registry's full ``snapshot`` to
+    ``obs`` for the server-side merge.  Unprofiled batches return
+    ``None`` there and pay nothing.
     """
-    plan = _plan_for(path, fingerprint)
-    observed: dict[str, tuple[int, int]] = {}
-    layer_ns: dict[str, int] | None = {} if profile else None
-    if profile:
-        from time import perf_counter_ns
-
-        forward_started = perf_counter_ns()
-    outputs = plan.forward(batch, mode=mode, batch_invariant=True,
-                           observed=observed, kernel=kernel,
-                           profile=layer_ns)
-    obs: dict[str, Any] | None = None
-    if profile:
-        forward_ns = perf_counter_ns() - forward_started
-        label_model = model_name if model_name is not None else path
-        for layer, elapsed_ns in layer_ns.items():
-            _WORKER_METRICS.histogram(
-                "serving_layer_seconds",
-                labels={"model": label_model, "layer": layer},
-            ).record(elapsed_ns / 1e9)
-        _WORKER_METRICS.histogram(
-            "serving_forward_seconds",
-            labels={"model": label_model}).record(forward_ns / 1e9)
-        _WORKER_METRICS.counter(
-            "serving_profiled_batches",
-            labels={"model": label_model}).inc()
-        obs = {"pid": os.getpid(), "layer_ns": layer_ns,
-               "forward_ns": forward_ns,
-               "snapshot": _WORKER_METRICS.snapshot()}
-    cycles = tiles = 0
-    cache_hit: bool | None = None
-    try:
-        key = (path, fingerprint, batch.shape[0],
-               tuple(sorted(observed.items())))
-        batch_plan = _BATCH_PLAN_CACHE.get(key)
-        cache_hit = batch_plan is not None
-        if batch_plan is None:
-            batch_plan = plan.execution_plan(observed=observed,
-                                             batch=batch.shape[0])
-            _BATCH_PLAN_CACHE.put(key, batch_plan)
-        cycles, tiles = batch_plan.total_cycles, batch_plan.total_tiles
-    except Exception:  # noqa: BLE001 - accounting is best-effort
-        cache_hit = None
-    return outputs, cycles, tiles, cache_hit, obs
+    resident = _resident_for(path, fingerprint, mode)
+    result = resident.serve_batch(batch, _WORKER_METRICS if profile else None,
+                                  label=model_name)
+    obs = result[4]
+    if obs is not None:
+        obs.update(pid=os.getpid(), snapshot=_WORKER_METRICS.snapshot())
+    return result
 
 
 class ProcessWorkerPool:
@@ -220,8 +174,8 @@ class ProcessWorkerPool:
                                 start_method=self.start_method)
 
     def run(self, path: str | Path, mode: str, batch: np.ndarray,
-            kernel: str = DEFAULT_KERNEL, fingerprint: str | None = None,
-            profile: bool = False, model_name: str | None = None
+            fingerprint: str | None = None, profile: bool = False,
+            model_name: str | None = None
             ) -> tuple[np.ndarray, int, int, bool | None,
                        dict[str, Any] | None]:
         """Run one batch in a worker process; returns
@@ -235,8 +189,7 @@ class ProcessWorkerPool:
         :func:`_run_plan_batch`).
         """
         future = self._executor.submit(_run_plan_batch, str(path), mode, batch,
-                                       kernel, fingerprint, profile,
-                                       model_name)
+                                       fingerprint, profile, model_name)
         return future.result()
 
     def shutdown(self) -> None:

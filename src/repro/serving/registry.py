@@ -52,18 +52,18 @@ from typing import Any
 
 import numpy as np
 
-from repro.combining.execplan import ExecutionPlan
+from repro.combining.execplan import PLAN_MODES, ExecutionPlan
 from repro.combining.inference import PackedModel
-from repro.combining.kernels import DEFAULT_KERNEL
 from repro.combining.quantized import QuantizedPackedModel
 from repro.combining.serialization import artifact_info, load_plan
 from repro.nn import Module
 from repro.obs.events import EventLog
+from repro.obs.metrics import MetricsRegistry
 from repro.systolic.system import ModelExecutionPlan
 from repro.utils.lru import LRUCache
 
-#: Execution backends a registered model can serve under.
-SERVING_MODES: tuple[str, ...] = ("exact", "mx", "quantized")
+#: Forward modes a registered model can serve under — the plan's modes.
+SERVING_MODES: tuple[str, ...] = PLAN_MODES
 
 #: Bound on each resident model's systolic accounting-plan cache — its
 #: key space (batch size x observed spatial map) is unbounded under
@@ -81,6 +81,14 @@ def _signature_from_info(info: dict[str, Any]) -> _LayerSignature:
                  for layer in info["layers"])
 
 
+def _needs_architecture(info: dict[str, Any]) -> bool:
+    """Whether an artifact loads only with a caller-supplied architecture:
+    it carries nn model state but neither a plan manifest nor a
+    ``model_spec`` to rebuild the model from."""
+    return (bool(info["has_model_state"]) and info.get("plan") is None
+            and info["model_spec"] is None)
+
+
 def _signature_from_plan(plan: ExecutionPlan) -> _LayerSignature:
     return tuple((op.name, tuple(op.packed.original_shape))
                  for op in plan.packed_ops)
@@ -96,7 +104,9 @@ class _Registration:
     content token (probed at registration / swap time, never trusted
     stale); ``generation`` counts cutovers — 1 for the original
     registration, +1 per swap.  ``layer_signature`` pins the per-layer
-    shape skeleton a swap target must reproduce.
+    shape skeleton a swap target must reproduce.  ``needs_architecture``
+    marks an artifact that loads only with :attr:`architecture` (see
+    :meth:`ModelRegistry.needs_architecture`).
     """
 
     name: str
@@ -107,6 +117,7 @@ class _Registration:
     fingerprint: str | None = None
     generation: int = 1
     layer_signature: _LayerSignature | None = None
+    needs_architecture: bool = False
     load_lock: threading.Lock = field(default_factory=threading.Lock)
 
     @property
@@ -115,19 +126,16 @@ class _Registration:
 
 
 class ResidentModel:
-    """A resident serving entry: an immutable plan plus its dispatch mode.
+    """A resident serving entry: an immutable plan, its dispatch mode, and
+    the batch executor both serving backends run.
 
     Accepts an already-compiled :class:`ExecutionPlan` (the artifact load
     path) or a live :class:`PackedModel` / :class:`QuantizedPackedModel`
     (the :meth:`ModelRegistry.add` path), which is compiled once here.
     The source model objects, when given, are kept on :attr:`packed` /
     :attr:`quantized` for callers that want the full accounting API; the
-    serving forward itself only ever touches :attr:`plan`.
-
-    Plan execution is stateless, so forwards need no lock: :attr:`lock`
-    is kept for callers that want exclusive access to an entry (and for
-    source compatibility), but the server no longer holds it around
-    forwards.
+    serving forward itself only ever touches :attr:`plan`.  Plan
+    execution is stateless, so :meth:`serve_batch` needs no lock.
     """
 
     def __init__(self, name: str, mode: str,
@@ -169,88 +177,87 @@ class ResidentModel:
         #: it belongs to — stamped by the registry, bumped per swap.
         self.fingerprint: str | None = None
         self.generation = 1
-        #: Optional exclusivity for callers that want it; forwards do not
-        #: need it (plan execution never mutates shared state).
-        self.lock = threading.Lock()
         self._plans_lock = threading.Lock()
         #: LRU-bounded: the (batch size, spatial map) key space is
         #: unbounded under varied traffic.
         self._plans: LRUCache = LRUCache(ACCOUNTING_PLAN_CACHE_SIZE)
-        #: Accounting-plan cache hits / misses (guarded by ``_plans_lock``).
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
 
-    def forward(self, batch: np.ndarray,
-                kernel: str = DEFAULT_KERNEL) -> np.ndarray:
-        """The serving forward: batch-invariant, accounting-free.
+    def serve_batch(self, batch: np.ndarray,
+                    metrics: MetricsRegistry | None = None,
+                    label: str | None = None
+                    ) -> tuple[np.ndarray, int, int, bool | None,
+                               dict[str, Any] | None]:
+        """Serve one coalesced batch: ``(outputs, cycles, tiles,
+        plan_cache_hit, obs)``.
 
-        Thread-safe without any lock — the plan is immutable.
-        Batch-invariant execution is what makes dynamic batching
+        The one batch executor of both serving backends — a drain thread
+        calls it on the registry's resident entry, a worker process on
+        the entry it cached for the artifact.  It runs the
+        batch-invariant plan forward (what makes dynamic batching
         bit-transparent — see
-        :meth:`repro.combining.execplan.ExecutionPlan.forward`; ``kernel``
-        picks the batch-invariant implementation
-        (:mod:`repro.combining.kernels`).
-        """
-        return self.forward_traced(batch, kernel=kernel)[0]
+        :meth:`repro.combining.execplan.ExecutionPlan.forward`) and
+        costs the batch on the systolic timing model through
+        :meth:`batch_plan`.  Accounting is best effort: a timing-model
+        failure (e.g. non-square activation maps) must not fail a batch
+        whose forward already succeeded, so it reports zero cycles and
+        tiles and ``plan_cache_hit=None`` instead.
 
-    def forward_traced(self, batch: np.ndarray, kernel: str = DEFAULT_KERNEL,
-                       profile: dict[str, int] | None = None
-                       ) -> tuple[np.ndarray, dict[str, tuple[int, int]]]:
-        """Forward plus the observed per-layer spatial map.
-
-        The map is what :meth:`batch_plan` needs to cost the batch on the
-        systolic timing model; returning it per call (instead of stashing
-        it on shared state) is what lets concurrent forwards on one
-        resident model coexist.
-        ``profile`` is handed to :meth:`ExecutionPlan.forward` — pass a
-        dict to collect per-layer wall time in integer nanoseconds
-        (wrapping only; the outputs stay bit-identical).
+        ``metrics`` opts into per-layer profiling (wrapping only; the
+        outputs stay bit-identical): the batch's layer and forward wall
+        times and a profiled-batch count are recorded into it as
+        ``serving_layer_seconds`` / ``serving_forward_seconds`` /
+        ``serving_profiled_batches``, labelled with ``label`` (default
+        :attr:`name`), and ``obs`` becomes ``{"layer_ns", "forward_ns"}``
+        (integer nanoseconds).  Without ``metrics``, ``obs`` is ``None``.
         """
         observed: dict[str, tuple[int, int]] = {}
+        layer_ns: dict[str, int] | None = None if metrics is None else {}
+        started = time.perf_counter_ns()
         outputs = self.plan.forward(batch, mode=self.mode,
                                     batch_invariant=True, observed=observed,
-                                    kernel=kernel, profile=profile)
-        return outputs, observed
+                                    profile=layer_ns)
+        obs: dict[str, Any] | None = None
+        if metrics is not None:
+            forward_ns = time.perf_counter_ns() - started
+            model = self.name if label is None else label
+            for layer, elapsed_ns in layer_ns.items():
+                metrics.histogram(
+                    "serving_layer_seconds",
+                    labels={"model": model, "layer": layer},
+                ).record(elapsed_ns / 1e9)
+            metrics.histogram("serving_forward_seconds",
+                              labels={"model": model}).record(forward_ns / 1e9)
+            metrics.counter("serving_profiled_batches",
+                            labels={"model": model}).inc()
+            obs = {"layer_ns": layer_ns, "forward_ns": forward_ns}
+        try:
+            plan, cache_hit = self.batch_plan(batch.shape[0], observed)
+        except Exception:  # noqa: BLE001 - accounting is best-effort
+            return outputs, 0, 0, None, obs
+        return outputs, plan.total_cycles, plan.total_tiles, cache_hit, obs
 
     def batch_plan(self, num_samples: int,
-                   observed: dict[str, tuple[int, int]] | None = None
-                   ) -> ModelExecutionPlan:
-        """The systolic execution plan for a batch this model just ran.
+                   observed: dict[str, tuple[int, int]]
+                   ) -> tuple[ModelExecutionPlan, bool]:
+        """The systolic plan for a batch this model ran, and whether it
+        came from the cache.
 
-        ``observed`` is the spatial map returned by
-        :meth:`forward_traced`; plans are cached per (batch size,
-        observed spatial shapes) — the plan walks the timing model, which
-        would otherwise cost more than a small forward, and spatially
-        flexible models (global-pool classifiers) legitimately serve
-        requests of different map sizes.
+        ``observed`` is the forward's per-layer spatial map.  Plans are
+        cached per (batch size, observed spatial shapes) — the plan walks
+        the timing model, which would otherwise cost more than a small
+        forward, and spatially flexible models (global-pool classifiers)
+        legitimately serve requests of different map sizes.  The hit flag
+        feeds the server's ``plan_cache`` stats; each process-backend
+        worker holds its own entries and pays its own misses, which those
+        counters make visible.
         """
-        return self.batch_plan_traced(num_samples, observed)[0]
-
-    def batch_plan_traced(self, num_samples: int,
-                          observed: dict[str, tuple[int, int]] | None = None
-                          ) -> tuple[ModelExecutionPlan, bool]:
-        """:meth:`batch_plan` plus whether the plan came from the cache.
-
-        The hit flag (also accumulated on :attr:`plan_cache_hits` /
-        :attr:`plan_cache_misses`) is what the server's per-backend stats
-        surface — per-process caches in the process backend each pay
-        their own misses, and these counters make that duplication
-        visible.
-        """
-        if observed is None:
-            raise ValueError(
-                "batch_plan needs the observed spatial map; run "
-                "forward_traced(batch) and pass its second return value")
         key = (num_samples, tuple(sorted(observed.items())))
         with self._plans_lock:
             plan = self._plans.get(key)
-            if plan is not None:
-                self.plan_cache_hits += 1
-                return plan, True
-        plan = self.plan.execution_plan(observed=observed,
-                                        batch=num_samples)
+        if plan is not None:
+            return plan, True
+        plan = self.plan.execution_plan(observed=observed, batch=num_samples)
         with self._plans_lock:
-            self.plan_cache_misses += 1
             plan = self._plans.setdefault(key, plan)
         return plan, False
 
@@ -330,7 +337,8 @@ class ModelRegistry:
             self._registrations[name] = _Registration(
                 name=name, mode=mode, path=path, architecture=architecture,
                 fingerprint=str(info["fingerprint"]),
-                layer_signature=_signature_from_info(info))
+                layer_signature=_signature_from_info(info),
+                needs_architecture=_needs_architecture(info))
 
     def add(self, name: str,
             model: PackedModel | QuantizedPackedModel | ExecutionPlan,
@@ -400,6 +408,15 @@ class ModelRegistry:
                     f"{self.names()}")
             return (registration.path, registration.mode,
                     registration.fingerprint)
+
+    def needs_architecture(self, name: str) -> bool:
+        """Whether ``name``'s artifact loads only with the architecture
+        passed to :meth:`register` / :meth:`swap` — it has neither a plan
+        manifest nor a ``model_spec``.  A process-backend worker loads
+        artifacts by path alone, so it cannot serve such an entry."""
+        with self._lock:
+            registration = self._registrations.get(name)
+            return registration is not None and registration.needs_architecture
 
     def get(self, name: str) -> ResidentModel:
         """The resident model for ``name``, loading (and evicting) as needed.
@@ -506,6 +523,7 @@ class ModelRegistry:
                          fingerprint: str | None,
                          architecture: Module | None,
                          signature: _LayerSignature,
+                         needs_architecture: bool,
                          load_seconds: float) -> dict[str, Any]:
         """Atomically cut the entry over (caller holds ``load_lock``)."""
         with self._lock:
@@ -515,6 +533,7 @@ class ModelRegistry:
             registration.fingerprint = fingerprint
             registration.architecture = architecture
             registration.layer_signature = signature
+            registration.needs_architecture = needs_architecture
             resident.generation = registration.generation
             resident.fingerprint = fingerprint
             if path is None:
@@ -591,6 +610,7 @@ class ModelRegistry:
             return self._install_swapped(
                 registration, resident, path=path, fingerprint=fingerprint,
                 architecture=architecture, signature=signature,
+                needs_architecture=_needs_architecture(info),
                 load_seconds=elapsed)
 
     def swap_live(self, name: str,
@@ -617,7 +637,7 @@ class ModelRegistry:
             return self._install_swapped(
                 registration, resident, path=None, fingerprint=None,
                 architecture=None, signature=signature,
-                load_seconds=elapsed)
+                needs_architecture=False, load_seconds=elapsed)
 
     def stats(self) -> dict[str, Any]:
         with self._lock:

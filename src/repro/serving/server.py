@@ -12,21 +12,24 @@ the *same* model concurrently, not just across models.
 
 Two execution backends share this structure (``backend=``):
 
-* ``"thread"`` (default) — each drain thread runs the forward in-process
-  on the registry's resident plan.
+* ``"thread"`` (default) — each drain thread runs the batch in-process
+  through the registry's resident entry
+  (:meth:`~repro.serving.registry.ResidentModel.serve_batch`).
 * ``"process"`` — each drain thread ships ``(artifact path, content
   fingerprint, mode, batch)`` to a persistent
   :class:`~repro.serving.procpool.ProcessWorkerPool` worker, which maps
   the artifact itself (``load_plan(mmap="auto")``, cached per process
-  and per content generation) and runs the forward outside the GIL.
-  Only artifact-backed registrations can be served this way — a pinned
-  live model has no path to ship.  If the pool dies (a worker was
-  killed, OOMed, or crashed the interpreter), only the in-flight batch
-  fails: the server rebuilds and rewarms the pool once per incident —
-  with the ``forkserver`` start method, since by then drain threads
-  exist and forking a multi-threaded parent is unsafe — and subsequent
-  batches serve normally (``stats()["totals"]["pool_rebuilds"]``
-  counts the incidents).
+  and per content generation) and runs the same ``serve_batch`` outside
+  the GIL.  Only self-describing artifact registrations can be served
+  this way — a pinned live model has no path to ship, and an artifact
+  that loads only with an architecture passed to ``register()`` is
+  refused at :meth:`~InferenceServer.submit`.  If the pool dies (a
+  worker was killed, OOMed, or crashed the interpreter), only the
+  in-flight batch fails: the server rebuilds and rewarms the pool once
+  per incident — with the ``forkserver`` start method, since by then
+  drain threads exist and forking a multi-threaded parent is unsafe —
+  and subsequent batches serve normally
+  (``stats()["totals"]["pool_rebuilds"]`` counts the incidents).
 
 Hot swap composes with both backends:
 :meth:`~repro.serving.registry.ModelRegistry.swap` installs a new plan
@@ -35,7 +38,7 @@ finish on the old immutable plan while the next batch serves the new
 one — no drain, no lock, no dropped request.
 
 Responses are bit-identical across backends, worker counts, and batch
-coalescing: every path runs the same batch-invariant plan execution.
+coalescing: every path runs the same batch executor.
 
 Observability rides along (:mod:`repro.obs`):
 
@@ -86,13 +89,12 @@ import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from time import monotonic, perf_counter_ns
+from time import monotonic
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.combining.inference import ensure_sample_batch
-from repro.combining.kernels import DEFAULT_KERNEL, validate_kernel
 from repro.obs.events import EventLog
 from repro.obs.exporter import ObservabilityExporter
 from repro.obs.metrics import (Histogram, MetricsRegistry, merge_snapshots,
@@ -164,12 +166,10 @@ class InferenceServer:
     drain thread keeps one worker process busy.  Plan execution is
     lock-free, so extra workers buy real concurrency even on a single
     hot model — threads overlap BLAS-released GIL sections, processes
-    sidestep the GIL entirely.  ``kernel`` picks the batch-invariant
-    implementation every forward runs
-    (:mod:`repro.combining.kernels`); responses are bit-identical
-    across backends / workers / coalescing for whichever kernel the
-    server was built with.  Use as a context manager, or pair
-    :meth:`start` with :meth:`stop`.
+    sidestep the GIL entirely.  Both backends run one batch executor
+    (:meth:`~repro.serving.registry.ResidentModel.serve_batch`), so
+    responses are bit-identical across backends / workers / coalescing.
+    Use as a context manager, or pair :meth:`start` with :meth:`stop`.
 
     ``profile=True`` opts every batch into per-layer wall-time
     accounting (perf-counter wrapping around each packed layer op —
@@ -179,8 +179,7 @@ class InferenceServer:
 
     def __init__(self, registry: ModelRegistry, max_batch: int = 16,
                  max_wait: float = 0.002, workers: int = 1,
-                 backend: str = "thread", kernel: str = DEFAULT_KERNEL,
-                 profile: bool = False,
+                 backend: str = "thread", profile: bool = False,
                  trace_capacity: int = DEFAULT_TRACE_CAPACITY,
                  slo: "Sequence[SLORule] | SLOEngine | None" = None,
                  events: EventLog | None = None,
@@ -190,12 +189,10 @@ class InferenceServer:
         if backend not in SERVING_BACKENDS:
             raise ValueError(f"unknown serving backend {backend!r}; "
                              f"expected one of {SERVING_BACKENDS}")
-        validate_kernel(kernel)
         self.registry = registry
         self.batcher = DynamicBatcher(max_batch=max_batch, max_wait=max_wait)
         self.workers = workers
         self.backend = backend
-        self.kernel = kernel
         self.profile = profile
         self._pool: ProcessWorkerPool | None = None
         self._pool_lock = threading.Lock()
@@ -260,8 +257,7 @@ class InferenceServer:
             thread.start()
             self._threads.append(thread)
         self.event_log.emit("server_start", backend=self.backend,
-                            workers=self.workers, kernel=self.kernel,
-                            profile=self.profile)
+                            workers=self.workers, profile=self.profile)
         return self
 
     def stop(self, timeout: float | None = None) -> None:
@@ -320,12 +316,22 @@ class InferenceServer:
         ``samples`` is a single ``(C, H, W)`` sample (the response is the
         single sample's output row) or an NCHW batch (the response keeps
         the batch axis).  Unknown model names fail fast here rather than
-        poisoning a worker.
+        poisoning a worker, and so — on the process backend — do
+        artifacts that load only with the architecture given at
+        registration (workers load artifacts by path alone).
         """
         if model_name not in self.registry:
             raise KeyError(
                 f"unknown model {model_name!r}; registered models: "
                 f"{self.registry.names()}")
+        if (self.backend == "process"
+                and self.registry.needs_architecture(model_name)):
+            raise ValueError(
+                f"model {model_name!r} cannot be served by the process "
+                "backend: its artifact has neither a plan manifest nor a "
+                "model_spec, so it loads only with the architecture passed "
+                "to register(), which worker processes never receive (serve "
+                "it on the thread backend, or re-save it with model_spec)")
         if not self._started:
             raise RuntimeError("server is not running; call start() first")
         batch, unbatched = ensure_sample_batch(samples)
@@ -353,55 +359,6 @@ class InferenceServer:
                 continue
             self._run_batch(batch)
 
-    def _forward_thread(self, batch: Batch
-                        ) -> tuple[np.ndarray, int, int, bool | None,
-                                   dict[str, Any] | None]:
-        """In-process forward on the registry's resident plan.
-
-        Returns ``(outputs, cycles, tiles, plan_cache_hit, obs)`` — the
-        same contract as the process backend's ``_run_plan_batch``.
-        When the server profiles, ``obs`` carries this batch's per-layer
-        nanoseconds (recorded straight into the server's own registry;
-        there is no worker snapshot to merge).
-        """
-        resident = self.registry.get(batch.key)
-        obs: dict[str, Any] | None = None
-        if not self.profile:
-            outputs, observed = resident.forward_traced(batch.stacked(),
-                                                        kernel=self.kernel)
-        else:
-            layer_ns: dict[str, int] = {}
-            forward_started = perf_counter_ns()
-            outputs, observed = resident.forward_traced(batch.stacked(),
-                                                        kernel=self.kernel,
-                                                        profile=layer_ns)
-            forward_ns = perf_counter_ns() - forward_started
-            for layer, elapsed_ns in layer_ns.items():
-                self._metrics.histogram(
-                    "serving_layer_seconds",
-                    labels={"model": batch.key, "layer": layer},
-                ).record(elapsed_ns / 1e9)
-            self._metrics.histogram(
-                "serving_forward_seconds",
-                labels={"model": batch.key}).record(forward_ns / 1e9)
-            self._metrics.counter(
-                "serving_profiled_batches",
-                labels={"model": batch.key}).inc()
-            obs = {"pid": None, "layer_ns": layer_ns,
-                   "forward_ns": forward_ns, "snapshot": None}
-        cycles = tiles = 0
-        cache_hit: bool | None = None
-        try:
-            plan, cache_hit = resident.batch_plan_traced(batch.num_samples,
-                                                         observed)
-            cycles, tiles = plan.total_cycles, plan.total_tiles
-        except Exception:  # noqa: BLE001 - accounting is best-effort
-            # A plan failure (e.g. non-square activation maps the
-            # timing model cannot size) must not fail a batch whose
-            # forward already succeeded.
-            cache_hit = None
-        return outputs, cycles, tiles, cache_hit, obs
-
     def _forward_process(self, batch: Batch
                          ) -> tuple[np.ndarray, int, int, bool | None,
                                     dict[str, Any] | None]:
@@ -424,7 +381,7 @@ class InferenceServer:
         pool = self._pool
         assert pool is not None
         try:
-            return pool.run(path, mode, batch.stacked(), kernel=self.kernel,
+            return pool.run(path, mode, batch.stacked(),
                             fingerprint=fingerprint, profile=self.profile,
                             model_name=batch.key)
         except BrokenProcessPool:
@@ -491,7 +448,9 @@ class InferenceServer:
                     self._forward_process(batch))
             else:
                 outputs, cycles, tiles, cache_hit, obs = (
-                    self._forward_thread(batch))
+                    self.registry.get(batch.key).serve_batch(
+                        batch.stacked(),
+                        self._metrics if self.profile else None))
             forward_done = monotonic()
             batch.resolve(outputs)
             failed = False
@@ -534,7 +493,7 @@ class InferenceServer:
                                          finished - request.enqueued_at)
                 self.slo.observe_request(failed=failed)
             if obs is not None:
-                if obs["snapshot"] is not None:
+                if "snapshot" in obs:
                     self._worker_snapshots[obs["pid"]] = obs["snapshot"]
                 layer_totals = self._layer_ns.setdefault(batch.key, {})
                 for layer, elapsed_ns in obs["layer_ns"].items():
@@ -560,15 +519,14 @@ class InferenceServer:
             return
         head = batch.requests[0]
         forward_attributes: dict[str, Any] = {
-            "backend": self.backend, "kernel": self.kernel,
-            "cycles": cycles, "tiles": tiles,
+            "backend": self.backend, "cycles": cycles, "tiles": tiles,
             "plan_cache_hit": cache_hit,
             "batch_samples": batch.num_samples,
         }
         if obs is not None:
             forward_attributes["forward_ns"] = obs["forward_ns"]
             forward_attributes["layer_ns"] = dict(obs["layer_ns"])
-            if obs["pid"] is not None:
+            if "pid" in obs:
                 forward_attributes["worker_pid"] = obs["pid"]
         respond_attributes: dict[str, Any] = {"failed": failed}
         if error_text is not None:
@@ -629,8 +587,8 @@ class InferenceServer:
         with self._pool_lock:
             totals["pool_rebuilds"] = self._pool_rebuilds
         return {"totals": totals, "per_model": per_model,
-                "backend": self.backend, "kernel": self.kernel,
-                "profile": self.profile, "traces": self._traces.stats(),
+                "backend": self.backend, "profile": self.profile,
+                "traces": self._traces.stats(),
                 "registry": self.registry.stats(),
                 "windows": self.slo.window_summaries(),
                 "events": self.event_log.stats()}

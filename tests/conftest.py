@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.combining import execplan
+from repro.combining.kernels import reference_conv_pointwise, reference_matmul
 from repro.data import synthetic_cifar10, synthetic_mnist
 
 #: Frozen JSON fixtures the golden regression harness diffs against.
@@ -78,6 +80,28 @@ def golden_check(request: pytest.FixtureRequest):
             "and review the JSON diff")
 
     return check
+
+
+@pytest.fixture
+def use_kernel(monkeypatch: pytest.MonkeyPatch):
+    """Point every plan's batch-invariant ops at one kernel family.
+
+    ``use_kernel("blocked")`` keeps the production kernels;
+    ``use_kernel("loops")`` swaps in the einsum reference of
+    :mod:`repro.combining.kernels` until the test ends — in this process
+    and in every worker process forked after the call (start servers
+    afterwards).  The parametrized matrices use it to show that plans and
+    serving are bit-transparent on either kernel, with no kernel option
+    on any production signature.
+    """
+    def use(kernel: str) -> None:
+        assert kernel in ("blocked", "loops"), kernel
+        if kernel == "loops":
+            monkeypatch.setattr(execplan, "invariant_conv_pointwise",
+                                reference_conv_pointwise)
+            monkeypatch.setattr(execplan, "invariant_matmul",
+                                reference_matmul)
+    return use
 
 
 @pytest.fixture

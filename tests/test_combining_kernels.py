@@ -1,14 +1,16 @@
 """Batch-invariant kernels: the bit contract behind deterministic serving.
 
-Each kernel (``"blocked"`` BLAS-backed, ``"loops"`` einsum reference)
-must be bitwise batch-invariant with respect to itself: forwarding a
-batch and forwarding any split of it concatenate to the exact same bits.
-The blocked kernel additionally must be layout-insensitive (Fortran or
-strided operands produce the same bits as contiguous ones) because BLAS
-picks different — differently rounded — code paths per layout.  Across
-kernels the contract is numerical equivalence, not bit equality: the
-blocked path fuses multiplies into BLAS dot products while the loops
-path reduces scalar-by-scalar.
+The blocked BLAS-backed kernels (``"blocked"``) and their einsum
+reference (``"loops"``, :func:`reference_matmul` /
+:func:`reference_conv_pointwise`) must each be bitwise batch-invariant
+with respect to themselves: forwarding a batch and forwarding any split
+of it concatenate to the exact same bits.  Both must also be
+layout-insensitive (Fortran or strided operands produce the same bits as
+contiguous ones) because BLAS — and einsum's loop order — pick different,
+differently rounded, code paths per layout.  Across the two the contract
+is numerical equivalence, not bit equality: the blocked path fuses
+multiplies into BLAS dot products while the reference loops reduce
+scalar-by-scalar.
 """
 
 from __future__ import annotations
@@ -17,18 +19,24 @@ import numpy as np
 import pytest
 
 from repro.combining import (
-    DEFAULT_KERNEL,
-    KERNELS,
     PackedModel,
     PipelineConfig,
-    QuantizedPackedModel,
     invariant_conv_pointwise,
     invariant_matmul,
     kernel_schedule,
-    validate_kernel,
 )
-from repro.combining.kernels import K_BLOCK, M_TILE
+from repro.combining.kernels import (
+    K_BLOCK,
+    M_TILE,
+    reference_conv_pointwise,
+    reference_matmul,
+)
 from repro.models import build_model
+
+#: ``(matmul, pointwise conv)`` per kernel family: the production blocked
+#: kernels and the einsum reference they are checked against.
+KERNELS = {"blocked": (invariant_matmul, invariant_conv_pointwise),
+           "loops": (reference_matmul, reference_conv_pointwise)}
 
 # Odd / prime reduction sizes straddling the K_BLOCK boundary, plus a
 # tail-heavy multiple-of-block case.
@@ -56,132 +64,129 @@ def rng_pair_conv(c: int, batch: int = 20, n: int = 7, hw: tuple = (5, 3),
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("k", K_SIZES)
 def test_matmul_batch_splits_are_bit_identical(kernel, k):
+    matmul, conv = KERNELS[kernel]
     x, weight = rng_pair_matmul(k)
-    full = invariant_matmul(x, weight, kernel=kernel)
+    full = matmul(x, weight)
     for start, stop in SPLITS:
-        chunk = invariant_matmul(x[start:stop], weight, kernel=kernel)
+        chunk = matmul(x[start:stop], weight)
         assert np.array_equal(full[start:stop], chunk)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("c", K_SIZES)
 def test_conv_batch_splits_are_bit_identical(kernel, c):
+    matmul, conv = KERNELS[kernel]
     x, weight = rng_pair_conv(c)
-    full = invariant_conv_pointwise(x, weight, kernel=kernel)
+    full = conv(x, weight)
     for start, stop in SPLITS:
-        chunk = invariant_conv_pointwise(x[start:stop], weight, kernel=kernel)
+        chunk = conv(x[start:stop], weight)
         assert np.array_equal(full[start:stop], chunk)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_concatenated_1_3_16_splits_equal_whole_batch(kernel):
     """The serving coalescing shape: 1 + 3 + 16 samples == one batch."""
+    matmul, conv = KERNELS[kernel]
     x, weight = rng_pair_matmul(k=131)
-    parts = [invariant_matmul(x[s], weight, kernel=kernel)
+    parts = [matmul(x[s], weight)
              for s in (slice(0, 1), slice(1, 4), slice(4, 20))]
-    assert np.array_equal(np.concatenate(parts), invariant_matmul(
-        x, weight, kernel=kernel))
+    assert np.array_equal(np.concatenate(parts), matmul(x, weight))
     xc, wc = rng_pair_conv(c=131)
-    parts = [invariant_conv_pointwise(xc[s], wc, kernel=kernel)
+    parts = [conv(xc[s], wc)
              for s in (slice(0, 1), slice(1, 4), slice(4, 20))]
-    assert np.array_equal(np.concatenate(parts), invariant_conv_pointwise(
-        xc, wc, kernel=kernel))
+    assert np.array_equal(np.concatenate(parts), conv(xc, wc))
 
 
 # -- layout insensitivity ----------------------------------------------------
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_fortran_ordered_operands_produce_the_same_bits(kernel):
+    matmul, conv = KERNELS[kernel]
     x, weight = rng_pair_matmul(k=613)
-    reference = invariant_matmul(x, weight, kernel=kernel)
+    reference = matmul(x, weight)
     assert np.array_equal(
-        invariant_matmul(np.asfortranarray(x), np.asfortranarray(weight),
-                         kernel=kernel), reference)
+        matmul(np.asfortranarray(x), np.asfortranarray(weight)), reference)
     xc, wc = rng_pair_conv(c=97)
-    conv_reference = invariant_conv_pointwise(xc, wc, kernel=kernel)
+    conv_reference = conv(xc, wc)
     assert np.array_equal(
-        invariant_conv_pointwise(np.asfortranarray(xc), np.asfortranarray(wc),
-                                 kernel=kernel), conv_reference)
+        conv(np.asfortranarray(xc), np.asfortranarray(wc)), conv_reference)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_strided_views_produce_the_same_bits(kernel):
     """Non-contiguous activations (the shape StrideOp hands downstream)."""
+    matmul, conv = KERNELS[kernel]
     x, weight = rng_pair_matmul(k=97, batch=40)
     strided = x[::2]
     assert not strided.flags["C_CONTIGUOUS"]
     assert np.array_equal(
-        invariant_matmul(strided, weight, kernel=kernel),
-        invariant_matmul(np.ascontiguousarray(strided), weight,
-                         kernel=kernel))
+        matmul(strided, weight),
+        matmul(np.ascontiguousarray(strided), weight))
     xc, wc = rng_pair_conv(c=13, batch=40, hw=(6, 6))
     strided_view = xc[::2, :, ::2, ::2]
     assert not strided_view.flags["C_CONTIGUOUS"]
     assert np.array_equal(
-        invariant_conv_pointwise(strided_view, wc, kernel=kernel),
-        invariant_conv_pointwise(np.ascontiguousarray(strided_view), wc,
-                                 kernel=kernel))
+        conv(strided_view, wc),
+        conv(np.ascontiguousarray(strided_view), wc))
 
 
 # -- degenerate shapes and dtypes --------------------------------------------
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_empty_batch_returns_empty_output(kernel):
-    out = invariant_matmul(np.empty((0, 17)), np.ones((5, 17)), kernel=kernel)
+    matmul, conv = KERNELS[kernel]
+    out = matmul(np.empty((0, 17)), np.ones((5, 17)))
     assert out.shape == (0, 5)
-    conv = invariant_conv_pointwise(np.empty((0, 3, 4, 4)), np.ones((5, 3)),
-                                    kernel=kernel)
-    assert conv.shape == (0, 5, 4, 4)
+    out = conv(np.empty((0, 3, 4, 4)), np.ones((5, 3)))
+    assert out.shape == (0, 5, 4, 4)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_zero_reduction_dimension_yields_zeros(kernel):
-    out = invariant_matmul(np.empty((4, 0)), np.empty((5, 0)), kernel=kernel)
+    matmul, conv = KERNELS[kernel]
+    out = matmul(np.empty((4, 0)), np.empty((5, 0)))
     assert out.shape == (4, 5) and not out.any()
-    conv = invariant_conv_pointwise(np.empty((4, 0, 2, 2)), np.empty((5, 0)),
-                                    kernel=kernel)
-    assert conv.shape == (4, 5, 2, 2) and not conv.any()
+    out = conv(np.empty((4, 0, 2, 2)), np.empty((5, 0)))
+    assert out.shape == (4, 5, 2, 2) and not out.any()
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_dtype_is_preserved_and_splits_stay_bit_identical(kernel, dtype):
+    matmul, conv = KERNELS[kernel]
     x, weight = rng_pair_matmul(k=613, dtype=dtype)
-    full = invariant_matmul(x, weight, kernel=kernel)
+    full = matmul(x, weight)
     assert full.dtype == dtype
-    assert np.array_equal(full[1:4],
-                          invariant_matmul(x[1:4], weight, kernel=kernel))
+    assert np.array_equal(full[1:4], matmul(x[1:4], weight))
     xc, wc = rng_pair_conv(c=97, dtype=dtype)
-    conv = invariant_conv_pointwise(xc, wc, kernel=kernel)
-    assert conv.dtype == dtype
-    assert np.array_equal(
-        conv[1:4], invariant_conv_pointwise(xc[1:4], wc, kernel=kernel))
+    full = conv(xc, wc)
+    assert full.dtype == dtype
+    assert np.array_equal(full[1:4], conv(xc[1:4], wc))
 
 
 # -- cross-kernel equivalence ------------------------------------------------
 def test_blocked_and_loops_are_numerically_equivalent():
     for k in K_SIZES:
         x, weight = rng_pair_matmul(k)
-        assert np.allclose(invariant_matmul(x, weight, kernel="blocked"),
-                           invariant_matmul(x, weight, kernel="loops"),
+        assert np.allclose(invariant_matmul(x, weight),
+                           reference_matmul(x, weight),
                            rtol=1e-9, atol=1e-11)
         xc, wc = rng_pair_conv(k)
-        assert np.allclose(
-            invariant_conv_pointwise(xc, wc, kernel="blocked"),
-            invariant_conv_pointwise(xc, wc, kernel="loops"),
-            rtol=1e-9, atol=1e-11)
+        assert np.allclose(invariant_conv_pointwise(xc, wc),
+                           reference_conv_pointwise(xc, wc),
+                           rtol=1e-9, atol=1e-11)
 
 
 def test_loops_kernel_matches_legacy_einsum_bits():
-    """The loops path IS the pre-kernel einsum — bitwise, on the
+    """The reference IS the pre-kernel einsum — bitwise, on the
     contiguous inputs every legacy call site passed."""
     x, weight = rng_pair_matmul(k=97)
-    assert np.array_equal(invariant_matmul(x, weight, kernel="loops"),
+    assert np.array_equal(reference_matmul(x, weight),
                           np.einsum("bi,oi->bo", x, weight))
     xc, wc = rng_pair_conv(c=97)
-    assert np.array_equal(invariant_conv_pointwise(xc, wc, kernel="loops"),
+    assert np.array_equal(reference_conv_pointwise(xc, wc),
                           np.einsum("nc,bchw->bnhw", wc, xc))
 
 
-# -- schedule and validation -------------------------------------------------
+# -- schedule and shape validation -------------------------------------------
 def test_kernel_schedule_covers_the_reduction_exactly_once():
     for k in [0, 1, K_BLOCK - 1, K_BLOCK, K_BLOCK + 1, 3 * K_BLOCK + 7]:
         schedule = kernel_schedule(k)
@@ -198,19 +203,6 @@ def test_kernel_schedule_depends_only_on_the_reduction_dimension():
     assert kernel_schedule(613) == kernel_schedule(613)
     assert kernel_schedule(K_BLOCK) == ((0, K_BLOCK),)
     assert M_TILE > 0 and K_BLOCK > 0
-
-
-def test_validate_kernel_rejects_unknown_names():
-    assert DEFAULT_KERNEL in KERNELS
-    for kernel in KERNELS:
-        validate_kernel(kernel)
-    with pytest.raises(ValueError, match="unknown batch-invariant kernel"):
-        validate_kernel("warp")
-    with pytest.raises(ValueError, match="unknown batch-invariant kernel"):
-        invariant_matmul(np.ones((2, 3)), np.ones((4, 3)), kernel="warp")
-    with pytest.raises(ValueError, match="unknown batch-invariant kernel"):
-        invariant_conv_pointwise(np.ones((2, 3, 2, 2)), np.ones((4, 3)),
-                                 kernel="warp")
 
 
 def test_kernels_validate_operand_shapes():
@@ -238,49 +230,25 @@ def packed() -> PackedModel:
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_plan_forward_is_batch_invariant_per_kernel(packed, kernel):
+def test_plan_forward_is_batch_invariant_per_kernel(packed, kernel,
+                                                    use_kernel):
+    use_kernel(kernel)
     plan = packed.compile_plan()
     images = np.random.default_rng(0).normal(size=(11, 1, 8, 8))
-    full = plan.forward(images, batch_invariant=True, kernel=kernel)
+    full = plan.forward(images, batch_invariant=True)
     for start, stop in [(0, 1), (1, 4), (4, 11)]:
-        chunk = plan.forward(images[start:stop], batch_invariant=True,
-                             kernel=kernel)
+        chunk = plan.forward(images[start:stop], batch_invariant=True)
         assert np.array_equal(full[start:stop], chunk)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_plan_and_model_forwards_share_bits_per_kernel(packed, kernel):
+def test_plan_and_model_forwards_share_bits_per_kernel(packed, kernel,
+                                                       use_kernel):
+    use_kernel(kernel)
     plan = packed.compile_plan()
     images = np.random.default_rng(1).normal(size=(5, 1, 8, 8))
     for mode in ["exact", "mx"]:
         assert np.array_equal(
-            plan.forward(images, mode=mode, batch_invariant=True,
-                         kernel=kernel),
-            packed.forward(images, mode=mode, batch_invariant=True,
-                           kernel=kernel))
+            plan.forward(images, mode=mode, batch_invariant=True),
+            packed.forward(images, mode=mode, batch_invariant=True))
 
-
-def test_quantized_forward_accepts_kernel(packed):
-    quantized = QuantizedPackedModel(packed, bits=8)
-    quantized.calibrate(np.random.default_rng(7).normal(size=(16, 1, 8, 8)))
-    images = np.random.default_rng(2).normal(size=(9, 1, 8, 8))
-    for kernel in KERNELS:
-        full = quantized.forward(images, track_errors=False,
-                                 batch_invariant=True, kernel=kernel)
-        chunk = quantized.forward(images[2:5], track_errors=False,
-                                  batch_invariant=True, kernel=kernel)
-        assert np.array_equal(full[2:5], chunk)
-    blocked = quantized.forward(images, track_errors=False,
-                                batch_invariant=True, kernel="blocked")
-    loops = quantized.forward(images, track_errors=False,
-                              batch_invariant=True, kernel="loops")
-    assert np.allclose(blocked, loops, rtol=1e-9, atol=1e-11)
-
-
-def test_plan_forward_rejects_unknown_kernel(packed):
-    plan = packed.compile_plan()
-    images = np.zeros((1, 1, 8, 8))
-    with pytest.raises(ValueError, match="unknown batch-invariant kernel"):
-        plan.forward(images, batch_invariant=True, kernel="warp")
-    with pytest.raises(ValueError, match="unknown batch-invariant kernel"):
-        packed.forward(images, batch_invariant=True, kernel="warp")

@@ -255,16 +255,6 @@ def test_forward_validates_shape_and_batch_size():
         quantized.forward(make_batch(batch=4), batch_size=0)
 
 
-def test_forward_and_predict_reject_unknown_kernel():
-    quantized = make_quantized()
-    quantized.calibrate(make_batch(batch=8))
-    batch = make_batch(batch=4)
-    with pytest.raises(ValueError, match="kernel"):
-        quantized.forward(batch, kernel="bogus")
-    with pytest.raises(ValueError, match="kernel"):
-        quantized.predict(batch, batch_invariant=True, kernel="bogus")
-
-
 def test_chunked_forward_is_numerically_equivalent():
     quantized = make_quantized()
     quantized.calibrate(make_batch(seed=5))

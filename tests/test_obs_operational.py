@@ -500,10 +500,11 @@ OPERATIONAL_CELLS = [
 @pytest.mark.parametrize("backend,workers,kernel", OPERATIONAL_CELLS)
 def test_operational_serving_is_bit_identical_to_direct(packed, artifact,
                                                         backend, workers,
-                                                        kernel):
+                                                        kernel, use_kernel):
     """Exporter attached, SLO engine evaluating, event log enabled —
     across every backend x workers x kernel cell the responses must
     still match the direct batch-invariant forward bit for bit."""
+    use_kernel(kernel)
     registry = ModelRegistry()
     if backend == "process":
         registry.register("m", path=artifact, mode="exact")
@@ -513,7 +514,7 @@ def test_operational_serving_is_bit_identical_to_direct(packed, artifact,
     rules = [SLORule("p99", "latency_quantile", 5.0),
              SLORule("errors", "error_rate", 0.5)]
     with InferenceServer(registry, max_batch=8, max_wait=0.002,
-                         workers=workers, backend=backend, kernel=kernel,
+                         workers=workers, backend=backend,
                          slo=rules, trace_capacity=16) as server:
         exporter = server.serve_metrics(port=0)
         outputs = [server.infer("m", request) for request in requests]
@@ -521,8 +522,7 @@ def test_operational_serving_is_bit_identical_to_direct(packed, artifact,
         stats = server.stats()
     for request, output in zip(requests, outputs):
         assert np.array_equal(output, direct_forward(packed, "exact",
-                                                     request,
-                                                     kernel=kernel))
+                                                     request))
     assert health["status"] in ("ok", "warn")
     assert stats["windows"]["requests"] == len(requests)
     assert stats["events"]["emitted"] >= 2  # server_start, exporter_start

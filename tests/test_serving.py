@@ -17,7 +17,6 @@ import pytest
 
 from repro.combining import (
     GROUPING_ENGINES,
-    KERNELS,
     PRUNE_ENGINES,
     PackedModel,
     PipelineConfig,
@@ -81,14 +80,11 @@ def request_stream(count: int, seed: int, max_request: int = 3) -> list[np.ndarr
             for _ in range(count)]
 
 
-def direct_forward(model, mode: str, batch: np.ndarray,
-                   kernel: str = "blocked") -> np.ndarray:
+def direct_forward(model, mode: str, batch: np.ndarray) -> np.ndarray:
     """The reference each served response must match bit-for-bit."""
     if mode == "quantized":
-        return model.forward(batch, track_errors=False, batch_invariant=True,
-                             kernel=kernel)
-    return model.forward(batch, mode=mode, batch_invariant=True,
-                         kernel=kernel)
+        return model.forward(batch, track_errors=False, batch_invariant=True)
+    return model.forward(batch, mode=mode, batch_invariant=True)
 
 
 # -- batch-invariant forward (the property serving builds on) ----------------
@@ -417,13 +413,14 @@ def test_resident_batch_plan_tracks_spatial_sizes():
     registry = ModelRegistry()
     registry.add("rn", packed)
     resident = registry.get("rn")
-    _, small_observed = resident.forward_traced(rng.normal(size=(2, 3, 8, 8)))
-    small = resident.batch_plan(2, small_observed)
-    _, large_observed = resident.forward_traced(rng.normal(size=(2, 3, 16, 16)))
-    large = resident.batch_plan(2, large_observed)
-    assert large.total_cycles > small.total_cycles
-    with pytest.raises(ValueError, match="observed spatial map"):
-        resident.batch_plan(2)
+    _, small_cycles, _, small_hit, _ = resident.serve_batch(
+        rng.normal(size=(2, 3, 8, 8)))
+    _, large_cycles, _, large_hit, _ = resident.serve_batch(
+        rng.normal(size=(2, 3, 16, 16)))
+    assert large_cycles > small_cycles
+    # Same batch size, different maps: two accounting plans, not one.
+    assert small_hit is False and large_hit is False
+    assert resident.accounting_cache_size == 2
 
 
 def test_registry_rejects_matrix_only_artifacts_at_load(tmp_path):
@@ -591,19 +588,22 @@ def test_server_responses_bit_identical_across_backends(grouping_engine,
 
 BACKEND_CELLS = [
     ("thread", workers, kernel)
-    for workers in (1, 2, 4) for kernel in KERNELS] + [
+    for workers in (1, 2, 4) for kernel in ("blocked", "loops")] + [
     pytest.param("process", workers, kernel, marks=pytest.mark.slow)
-    for workers in (1, 2, 4) for kernel in KERNELS]
+    for workers in (1, 2, 4) for kernel in ("blocked", "loops")]
 
 
 @pytest.mark.parametrize("backend,workers,kernel", BACKEND_CELLS)
 def test_server_bit_identical_across_execution_backends(tmp_path, packed,
                                                         quantized, backend,
-                                                        workers, kernel):
+                                                        workers, kernel,
+                                                        use_kernel):
     """The serving invariant, per cell of backend x workers x kernel:
     responses are bit-identical across backend="thread"|"process", worker
-    counts, batch-invariant kernels, and arbitrary coalescing, for every
-    serving mode."""
+    counts, batch-invariant kernels (the production blocked kernels, or
+    the einsum reference swapped in by ``use_kernel``), and arbitrary
+    coalescing, for every serving mode."""
+    use_kernel(kernel)
     path_f = save_packed(packed, tmp_path / "f.npz", model_spec=MODEL_SPEC,
                          compress=False)
     path_q = save_packed(quantized, tmp_path / "q.npz", model_spec=MODEL_SPEC,
@@ -613,14 +613,13 @@ def test_server_bit_identical_across_execution_backends(tmp_path, packed,
     registry.register("mx", path=path_f, mode="mx")
     registry.register("int8", path=path_q, mode="quantized")
     stream = request_stream(8, seed=21)
-    expected = {name: [direct_forward(model, mode, batch, kernel)
+    expected = {name: [direct_forward(model, mode, batch)
                        for batch in stream]
                 for name, (model, mode)
                 in {"exact": (packed, "exact"), "mx": (packed, "mx"),
                     "int8": (quantized, "quantized")}.items()}
     with InferenceServer(registry, max_batch=4, max_wait=0.001,
-                         workers=workers, backend=backend,
-                         kernel=kernel) as server:
+                         workers=workers, backend=backend) as server:
         pending = [(name, index, server.submit(name, batch))
                    for index, batch in enumerate(stream)
                    for name in ("exact", "mx", "int8")]
@@ -632,7 +631,7 @@ def test_server_bit_identical_across_execution_backends(tmp_path, packed,
         stats = server.stats()
     assert stats["totals"]["failures"] == 0
     assert stats["totals"]["cycles"] > 0
-    assert stats["backend"] == backend and stats["kernel"] == kernel
+    assert stats["backend"] == backend
 
 
 def test_server_rejects_unknown_backend(packed):
@@ -640,13 +639,6 @@ def test_server_rejects_unknown_backend(packed):
     registry.add("m", packed)
     with pytest.raises(ValueError, match="unknown serving backend"):
         InferenceServer(registry, backend="fiber")
-
-
-def test_server_rejects_unknown_kernel(packed):
-    registry = ModelRegistry()
-    registry.add("m", packed)
-    with pytest.raises(ValueError, match="unknown batch-invariant kernel"):
-        InferenceServer(registry, kernel="warp")
 
 
 @pytest.mark.slow
@@ -660,6 +652,33 @@ def test_process_backend_relays_live_model_rejection(packed):
         with pytest.raises(ValueError, match="artifact-backed"):
             server.submit("live", sample(1)[0]).result(30.0)
     assert server.stats()["totals"]["failures"] == 1
+
+
+@pytest.mark.slow
+def test_process_backend_refuses_architecture_bound_artifact_at_submit(
+        tmp_path, packed):
+    """A V1 artifact saved without a model_spec loads only with the
+    architecture passed to register(): the thread backend serves it, and
+    the process backend — whose workers load artifacts by path alone —
+    refuses it at submit with an error naming the cause, instead of
+    failing every batch inside a worker."""
+    path = save_packed(packed, tmp_path / "v1.npz", compress=False,
+                       format_version=1)
+    request = np.random.default_rng(8).normal(size=(1, 8, 8))
+    expected = direct_forward(packed, "exact", request[None])[0]
+    for backend in ("thread", "process"):
+        registry = ModelRegistry()
+        registry.register("v1", path=path,
+                          architecture=build_model("lenet5", **MODEL_KWARGS))
+        with InferenceServer(registry, backend=backend, workers=1) as server:
+            if backend == "thread":
+                assert np.array_equal(server.infer("v1", request), expected)
+            else:
+                with pytest.raises(ValueError,
+                                   match="architecture passed to register"):
+                    server.submit("v1", request)
+            stats = server.stats()
+        assert stats["totals"]["failures"] == 0
 
 
 def test_server_coalescing_settings_do_not_change_responses(packed):

@@ -36,9 +36,7 @@ from repro.combining.serialization import (
 from repro.models import build_model
 from repro.serving import InferenceServer, ModelRegistry
 from repro.serving.procpool import (
-    BATCH_PLAN_CACHE_SIZE,
     PLAN_CACHE_SIZE,
-    _BATCH_PLAN_CACHE,
     _PLAN_CACHE,
     _run_plan_batch,
 )
@@ -68,13 +66,10 @@ def save_artifact(packed, path: Path, spec: dict = MODEL_SPEC) -> Path:
     return save_packed(packed, path, model_spec=spec, compress=False)
 
 
-def direct_forward(model, mode: str, batch: np.ndarray,
-                   kernel: str = "blocked") -> np.ndarray:
+def direct_forward(model, mode: str, batch: np.ndarray) -> np.ndarray:
     if mode == "quantized":
-        return model.forward(batch, track_errors=False, batch_invariant=True,
-                             kernel=kernel)
-    return model.forward(batch, mode=mode, batch_invariant=True,
-                         kernel=kernel)
+        return model.forward(batch, track_errors=False, batch_invariant=True)
+    return model.forward(batch, mode=mode, batch_invariant=True)
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +143,8 @@ def test_swap_back_and_forth_restores_old_bits(artifacts, packed_old,
     pytest.param("process", 2, "blocked", marks=pytest.mark.slow),
 ])
 def test_swap_under_concurrent_traffic_is_old_or_new_bits(
-        artifacts, packed_old, packed_new, backend, workers, kernel):
+        artifacts, packed_old, packed_new, backend, workers, kernel,
+        use_kernel):
     """Clients hammer infer() while swap() runs repeatedly: every response
     must be bit-identical to the old or the new artifact's direct forward
     (in-flight batches finish on the old immutable plan, later batches
@@ -158,8 +154,9 @@ def test_swap_under_concurrent_traffic_is_old_or_new_bits(
     rng = np.random.default_rng(9)
     requests = [rng.normal(size=(int(rng.integers(1, 4)), 1, 8, 8))
                 for _ in range(30)]
-    references = [(direct_forward(packed_old, "exact", request, kernel),
-                   direct_forward(packed_new, "exact", request, kernel))
+    use_kernel(kernel)
+    references = [(direct_forward(packed_old, "exact", request),
+                   direct_forward(packed_new, "exact", request))
                   for request in requests]
 
     registry = ModelRegistry()
@@ -169,8 +166,7 @@ def test_swap_under_concurrent_traffic_is_old_or_new_bits(
     lock = threading.Lock()
 
     with InferenceServer(registry, max_batch=4, max_wait=0.001,
-                         workers=workers, backend=backend,
-                         kernel=kernel) as server:
+                         workers=workers, backend=backend) as server:
         def client(offset: int) -> None:
             pending = [(index, server.submit("m", requests[index]))
                        for index in range(offset, len(requests), 3)]
@@ -351,22 +347,20 @@ def test_lru_cache_bounds_and_refreshes_recency():
 
 def test_resident_accounting_cache_is_bounded(packed_old):
     resident = ResidentModel("m", "exact", packed_old.compile_plan())
-    batch = np.random.default_rng(0).normal(size=(1, 1, 8, 8))
-    _, observed = resident.forward_traced(batch)
+    rng = np.random.default_rng(0)
     for num_samples in range(1, ACCOUNTING_PLAN_CACHE_SIZE + 9):
-        resident.batch_plan_traced(num_samples, observed)
+        resident.serve_batch(rng.normal(size=(num_samples, 1, 8, 8)))
     assert resident.accounting_cache_size <= ACCOUNTING_PLAN_CACHE_SIZE
     # The hot key stays resident across the churn.
-    hits_before = resident.plan_cache_hits
-    resident.batch_plan_traced(ACCOUNTING_PLAN_CACHE_SIZE + 8, observed)
-    assert resident.plan_cache_hits == hits_before + 1
+    hot = rng.normal(size=(ACCOUNTING_PLAN_CACHE_SIZE + 8, 1, 8, 8))
+    assert resident.serve_batch(hot)[3] is True
 
 
 def test_worker_process_caches_are_bounded(tmp_path, packed_old):
     """The worker-module caches (exercised here in-process) stay within
-    their bounds under many generations and batch sizes."""
+    their bounds under many generations and batch sizes: the resident
+    entries per artifact generation, and each entry's accounting plans."""
     _PLAN_CACHE.clear()
-    _BATCH_PLAN_CACHE.clear()
     paths = []
     for index in range(PLAN_CACHE_SIZE + 2):
         paths.append(save_artifact(build_packed(seed=30 + index),
@@ -379,13 +373,14 @@ def test_worker_process_caches_are_bounded(tmp_path, packed_old):
     assert len(_PLAN_CACHE) <= PLAN_CACHE_SIZE
     hot = paths[-1]
     fingerprint = artifact_fingerprint(hot)
-    for batch_size in range(1, BATCH_PLAN_CACHE_SIZE + 6):
+    for batch_size in range(1, ACCOUNTING_PLAN_CACHE_SIZE + 6):
         _run_plan_batch(str(hot), "exact",
                         rng.normal(size=(batch_size, 1, 8, 8)),
                         fingerprint=fingerprint)
-    assert len(_BATCH_PLAN_CACHE) <= BATCH_PLAN_CACHE_SIZE
+    assert len(_PLAN_CACHE) <= PLAN_CACHE_SIZE
+    resident = _PLAN_CACHE.get((str(hot), fingerprint, "exact"))
+    assert resident.accounting_cache_size <= ACCOUNTING_PLAN_CACHE_SIZE
     _PLAN_CACHE.clear()
-    _BATCH_PLAN_CACHE.clear()
 
 
 # -- broken-pool recovery ----------------------------------------------------
@@ -430,13 +425,13 @@ def test_stop_timeout_is_a_shared_deadline(artifacts, packed_old):
                              max_wait=0.0).start()
     release = threading.Event()
     resident = registry.get("m")
-    original = resident.forward_traced
+    original = resident.serve_batch
 
-    def wedged(samples, kernel="blocked"):
+    def wedged(*args, **kwargs):
         release.wait(timeout=30.0)
-        return original(samples, kernel=kernel)
+        return original(*args, **kwargs)
 
-    resident.forward_traced = wedged
+    resident.serve_batch = wedged
     pending = [server.submit("m", batch) for _ in range(3)]
     time.sleep(0.2)  # let every worker pick up a wedged batch
     started = time.monotonic()

@@ -11,7 +11,8 @@ import pytest
 
 from repro.combining import save_packed
 from repro.combining.serialization import load_plan
-from repro.obs import merge_snapshots, summarize_histogram_state
+from repro.obs import (MetricsRegistry, merge_snapshots,
+                       summarize_histogram_state)
 from repro.serving import (
     DynamicBatcher,
     FLUSH_REASONS,
@@ -50,17 +51,18 @@ def quantized_artifact(tmp_path_factory, packed):
 # -- profiled forward is bit-identical ---------------------------------------
 @pytest.mark.parametrize("mode", ["exact", "mx"])
 @pytest.mark.parametrize("kernel", ["blocked", "loops"])
-def test_profiled_plan_forward_is_bit_identical(artifact, mode, kernel):
+def test_profiled_plan_forward_is_bit_identical(artifact, mode, kernel,
+                                                use_kernel):
     """Profiling wraps each packed layer op in perf-counter reads and
     nothing else, so the profiled forward must return the exact bits of
     the unprofiled one — per mode, per kernel."""
+    use_kernel(kernel)
     plan = load_plan(artifact)
     batch = np.random.default_rng(0).normal(size=(5, 1, 8, 8))
-    plain = plan.forward(batch, mode=mode, batch_invariant=True,
-                         kernel=kernel)
+    plain = plan.forward(batch, mode=mode, batch_invariant=True)
     profile: dict[str, int] = {}
     profiled = plan.forward(batch, mode=mode, batch_invariant=True,
-                            kernel=kernel, profile=profile)
+                            profile=profile)
     assert np.array_equal(plain, profiled)
     assert profile, "profiling recorded no layers"
     assert all(isinstance(ns, int) and ns > 0 for ns in profile.values())
@@ -90,10 +92,11 @@ SERVER_CELLS = [
 @pytest.mark.parametrize("backend,workers,kernel", SERVER_CELLS)
 def test_observed_serving_is_bit_identical_to_direct(packed, artifact,
                                                      backend, workers,
-                                                     kernel):
+                                                     kernel, use_kernel):
     """Tracing + per-layer profiling on, across every backend x workers
     x kernel cell: responses must still be bit-identical to the direct
     batch-invariant forward of each request alone."""
+    use_kernel(kernel)
     registry = ModelRegistry()
     if backend == "process":
         registry.register("m", path=artifact, mode="exact")
@@ -101,18 +104,64 @@ def test_observed_serving_is_bit_identical_to_direct(packed, artifact,
         registry.add("m", packed)
     requests = request_stream(10, seed=21)
     with InferenceServer(registry, max_batch=8, max_wait=0.002,
-                         workers=workers, backend=backend, kernel=kernel,
+                         workers=workers, backend=backend,
                          profile=True, trace_capacity=32) as server:
         outputs = [server.infer("m", request) for request in requests]
         stats = server.stats()
         profile = server.layer_profile()
     for request, output in zip(requests, outputs):
         assert np.array_equal(output,
-                              direct_forward(packed, "exact", request,
-                                             kernel=kernel))
+                              direct_forward(packed, "exact", request))
     assert stats["totals"]["requests"] == len(requests)
     assert profile["m"], "profiling recorded no layers"
     assert stats["traces"]["recorded"] == len(requests)
+
+
+@pytest.mark.parametrize("backend", [
+    "thread", pytest.param("process", marks=pytest.mark.slow)])
+def test_backends_share_one_result_contract(artifact, backend):
+    """Both backends run one batch executor, so a sequential profiled
+    stream (one request per batch) must report the timing model's own
+    cycle and tile totals and export the same metric keys and counts on
+    either backend."""
+    requests = request_stream(6, seed=4)
+    plan = load_plan(artifact)
+    cycles = tiles = 0
+    for request in requests:
+        observed: dict[str, tuple[int, int]] = {}
+        plan.forward(request, batch_invariant=True, observed=observed)
+        modelled = plan.execution_plan(observed=observed,
+                                       batch=request.shape[0])
+        cycles += modelled.total_cycles
+        tiles += modelled.total_tiles
+    expected = MetricsRegistry()
+    model = {"model": "m"}
+    for name in ("serving_queued_seconds", "serving_service_seconds",
+                 "serving_forward_seconds"):
+        expected.histogram(name, labels=model)
+    for layer in plan.layer_names():
+        expected.histogram("serving_layer_seconds",
+                           labels={**model, "layer": layer})
+    expected.counter("serving_batches",
+                     labels={**model, "flush_reason": "max_wait"}
+                     ).inc(len(requests))
+    expected.counter("serving_profiled_batches",
+                     labels=model).inc(len(requests))
+
+    registry = ModelRegistry()
+    registry.register("m", path=artifact)
+    with InferenceServer(registry, max_batch=16, max_wait=0.001,
+                         backend=backend, profile=True) as server:
+        for request in requests:
+            server.infer("m", request)
+        totals = server.stats()["totals"]
+        snapshot = server.metrics_snapshot()
+    assert totals["batches"] == len(requests)
+    assert (totals["cycles"], totals["tiles"]) == (cycles, tiles)
+    wanted = expected.snapshot()
+    assert sorted(snapshot["histograms"]) == sorted(wanted["histograms"])
+    assert snapshot["counters"] == wanted["counters"]
+    assert snapshot["gauges"] == wanted["gauges"] == {}
 
 
 # -- exact merge across worker processes --------------------------------------
@@ -258,7 +307,6 @@ def test_traces_record_span_timeline_and_flush_reason(packed):
             in FLUSH_REASONS
         forward = spans["forward"]["attributes"]
         assert forward["backend"] == "thread"
-        assert forward["kernel"] == "blocked"
         assert forward["layer_ns"], "profiled trace carries layer timings"
         assert spans["respond"]["attributes"]["failed"] is False
         # Timeline is contiguous: enqueue/coalesce end at dispatch,
