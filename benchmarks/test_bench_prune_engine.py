@@ -48,32 +48,35 @@ def test_bench_prune_reference(benchmark, grouped_layer):
     assert keep.shape == matrix.shape
 
 
-def _best_of(runs: int, func, *args) -> float:
-    best = float("inf")
-    for _ in range(runs):
-        start = time.perf_counter()
-        func(*args)
-        best = min(best, time.perf_counter() - start)
-    return best
+#: Interleaved (fast, reference) timing pairs behind the speedup's medians.
+REPEATS = 15
+
+
+def _seconds(func, *args) -> float:
+    start = time.perf_counter()
+    func(*args)
+    return time.perf_counter() - start
 
 
 def test_fast_prune_engine_speedup_on_512x1024_layer():
     """The acceptance bar: >= 3x over the reference on a 512x1024 layer at
     the paper's 16% density (α = 8, γ = 0.5 keeps ~130+ groups for the
-    reference loop to dense-slice; the scatter engine measures ~3.3-3.9x
-    unloaded).  The margin over the bar is moderate, so a failing first
-    measurement is retried once to absorb transient machine load."""
+    reference loop to dense-slice; the scatter engine measures ~3.2-3.9x
+    unloaded).  The speedup compares the engines' median times over
+    interleaved repeats, after one warm-up call each, so transient machine
+    load shifts both medians alike instead of deciding a single shot."""
     matrix = synthetic_layer(0.16)
     grouping = group_columns(matrix, alpha=8, gamma=0.5)
-
-    def measure() -> tuple[float, float, float]:
-        fast = _best_of(7, conflict_mask, matrix, grouping, "fast")
-        reference = _best_of(4, conflict_mask, matrix, grouping, "reference")
-        return reference / fast, fast, reference
-
-    speedup, fast, reference = measure()
-    if speedup < 3.0:
-        speedup, fast, reference = max(measure(), (speedup, fast, reference))
+    for engine in ("fast", "reference"):
+        conflict_mask(matrix, grouping, engine)
+    fast_runs, reference_runs = [], []
+    for _ in range(REPEATS):
+        fast_runs.append(_seconds(conflict_mask, matrix, grouping, "fast"))
+        reference_runs.append(
+            _seconds(conflict_mask, matrix, grouping, "reference"))
+    fast = float(np.median(fast_runs))
+    reference = float(np.median(reference_runs))
+    speedup = reference / fast
     assert speedup >= 3.0, (
         f"fast prune engine only {speedup:.1f}x faster "
-        f"({fast:.4f}s vs {reference:.4f}s)")
+        f"(median {fast:.4f}s vs {reference:.4f}s over {REPEATS} repeats)")

@@ -50,24 +50,30 @@ def _per_call_refit(quantized, batches) -> list[np.ndarray]:
     return outputs
 
 
-def _best_of(function, quantized, batches, repeats: int = 5) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        function(quantized, batches)
-        best = min(best, time.perf_counter() - start)
-    return best
+#: Interleaved (refit, reuse) timing pairs behind the compared medians.
+REPEATS = 7
+
+
+def _seconds(function, quantized, batches) -> float:
+    start = time.perf_counter()
+    function(quantized, batches)
+    return time.perf_counter() - start
 
 
 def test_bench_calibrated_reuse_beats_per_call_refit():
     quantized = _quantized_model()
     batches = _batches()
-    refit_seconds = _best_of(_per_call_refit, quantized, batches)
-    reuse_seconds = _best_of(_calibrated_reuse, quantized, batches)
-    print(f"\n{BATCHES} batches x {BATCH} samples: "
+    refit_runs, reuse_runs = [], []
+    for _ in range(REPEATS):
+        refit_runs.append(_seconds(_per_call_refit, quantized, batches))
+        reuse_runs.append(_seconds(_calibrated_reuse, quantized, batches))
+    refit_seconds = float(np.median(refit_runs))
+    reuse_seconds = float(np.median(reuse_runs))
+    print(f"\n{BATCHES} batches x {BATCH} samples, median of {REPEATS}: "
           f"per-call refit {refit_seconds * 1e3:.1f} ms, "
           f"calibrated reuse {reuse_seconds * 1e3:.1f} ms "
           f"({refit_seconds / reuse_seconds:.2f}x)")
     assert reuse_seconds < refit_seconds, (
         f"calibrated reuse ({reuse_seconds:.4f}s) did not beat per-call "
-        f"refitting ({refit_seconds:.4f}s) over {BATCHES} batches")
+        f"refitting ({refit_seconds:.4f}s) over {BATCHES} batches, median of "
+        f"{REPEATS} interleaved repeats")

@@ -60,7 +60,6 @@ from repro.models.lenet import LeNet5
 from repro.models.resnet import BasicBlock, ResNet20, _StridedPointwiseShortcut
 from repro.models.vgg import VGG
 from repro.nn.layers import (
-    SHIFT_DIRECTIONS,
     AvgPool2d,
     BatchNorm2d,
     Dense,
@@ -73,6 +72,8 @@ from repro.nn.layers import (
     ReLU,
     Shift2d,
     ShiftConv2d,
+    shift_channels,
+    shift_groups,
 )
 from repro.nn.module import Module, Sequential
 from repro.quant.linear import LinearQuantizer
@@ -316,25 +317,42 @@ class DenseOp:
 
 
 class ShiftOp:
-    """Parameter-free per-channel spatial shift (:class:`Shift2d` twin)."""
+    """Parameter-free per-channel spatial shift (:class:`Shift2d` twin).
+
+    The direction groups are precompiled at construction (which unpickling
+    and manifest loading go through too), so a shift is at most nine
+    strided copies (:func:`~repro.nn.layers.shift_channels`).  An
+    assignment of the wrong length or with a direction outside
+    :data:`~repro.nn.layers.SHIFT_DIRECTIONS` raises ``ValueError`` here,
+    not at forward.
+    """
 
     def __init__(self, assignment: np.ndarray, channels: int):
+        self.groups = shift_groups(assignment)
+        if len(assignment) != channels:
+            raise ValueError(
+                f"shift assignment holds {len(assignment)} directions for "
+                f"{channels} channels")
         self.assignment = assignment
         self.channels = channels
+
+    def __reduce__(self) -> tuple:
+        return ShiftOp, (self.assignment, self.channels)
 
     def apply(self, x: np.ndarray, ctx: _Ctx) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.channels:
             raise ValueError(
                 f"Shift2d expected (batch, {self.channels}, H, W), got {x.shape}")
-        out = np.empty_like(x)
-        for c in range(self.channels):
-            dy, dx = SHIFT_DIRECTIONS[self.assignment[c]]
-            out[:, c] = Shift2d._shift_channel(x[:, c], dy, dx)
-        return out
+        return shift_channels(x, self.groups)
 
 
 class BatchNormOp:
-    """Eval-mode batch norm over frozen running statistics."""
+    """Eval-mode batch norm over frozen running statistics.
+
+    ``inv_std`` and the NCHW broadcast views are computed once here; the
+    forward expression is :class:`BatchNorm2d`'s eval expression, so the
+    bits match it.
+    """
 
     def __init__(self, mean: np.ndarray, var: np.ndarray, gamma: np.ndarray,
                  beta: np.ndarray, eps: float, channels: int):
@@ -344,15 +362,24 @@ class BatchNormOp:
         self.beta = beta
         self.eps = eps
         self.channels = channels
+        inv_std = 1.0 / np.sqrt(var + eps)
+        inv_std.setflags(write=False)
+        self._mean4 = mean[None, :, None, None]
+        self._inv_std4 = inv_std[None, :, None, None]
+        self._gamma4 = gamma[None, :, None, None]
+        self._beta4 = beta[None, :, None, None]
+
+    def __reduce__(self) -> tuple:
+        return BatchNormOp, (self.mean, self.var, self.gamma, self.beta,
+                             self.eps, self.channels)
 
     def apply(self, x: np.ndarray, ctx: _Ctx) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.channels:
             raise ValueError(
                 f"BatchNorm2d expected (batch, {self.channels}, H, W), "
                 f"got {x.shape}")
-        inv_std = 1.0 / np.sqrt(self.var + self.eps)
-        x_hat = (x - self.mean[None, :, None, None]) * inv_std[None, :, None, None]
-        return self.gamma[None, :, None, None] * x_hat + self.beta[None, :, None, None]
+        x_hat = (x - self._mean4) * self._inv_std4
+        return self._gamma4 * x_hat + self._beta4
 
 
 class ReluOp:

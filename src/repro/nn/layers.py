@@ -10,6 +10,8 @@ packs.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.nn import init
@@ -122,12 +124,77 @@ SHIFT_DIRECTIONS: tuple[tuple[int, int], ...] = (
 )
 
 
+def assign_directions(channels: int) -> np.ndarray:
+    """Spread ``channels`` over the nine directions: channel ``c`` takes
+    direction ``c % 9``."""
+    return np.arange(channels) % len(SHIFT_DIRECTIONS)
+
+
+def shift_groups(assignment: np.ndarray
+                 ) -> tuple[tuple[slice | np.ndarray, int, int], ...]:
+    """Precompile a per-channel direction assignment into grouped copies.
+
+    Returns one ``(channels, dy, dx)`` entry per direction that has
+    channels, where ``channels`` selects them along axis 1: strided
+    slices ``d::9`` for the :func:`assign_directions` layout, index arrays
+    for any other assignment.  Raises ``ValueError`` unless ``assignment``
+    is a 1-D integer array of direction indices.
+    """
+    assignment = np.asarray(assignment)
+    directions = len(SHIFT_DIRECTIONS)
+    if assignment.ndim != 1 or not np.issubdtype(assignment.dtype, np.integer):
+        raise ValueError(
+            f"shift assignment must be a 1-D integer array, got dtype "
+            f"{assignment.dtype} and shape {assignment.shape}")
+    if assignment.size and not (0 <= assignment.min()
+                                and assignment.max() < directions):
+        raise ValueError(
+            f"shift assignment values must lie in range({directions}), got "
+            f"{int(assignment.min())}..{int(assignment.max())}")
+    if np.array_equal(assignment, assign_directions(assignment.size)):
+        return tuple((slice(direction, None, directions), dy, dx)
+                     for direction, (dy, dx)
+                     in enumerate(SHIFT_DIRECTIONS[:assignment.size]))
+    groups = ((np.flatnonzero(assignment == direction), dy, dx)
+              for direction, (dy, dx) in enumerate(SHIFT_DIRECTIONS))
+    return tuple(group for group in groups if group[0].size)
+
+
+@functools.lru_cache(maxsize=1024)
+def _shift_windows(dy: int, dx: int, h: int,
+                   w: int) -> tuple[slice, slice, slice, slice]:
+    """``(dst_y, dst_x, src_y, src_x)`` of a (dy, dx) shift of an H x W map."""
+    return (slice(max(0, dy), min(h, h + dy)), slice(max(0, dx), min(w, w + dx)),
+            slice(max(0, -dy), min(h, h - dy)), slice(max(0, -dx), min(w, w - dx)))
+
+
+def shift_channels(x: np.ndarray, groups: tuple,
+                   inverse: bool = False) -> np.ndarray:
+    """Shift each channel of an NCHW array by its direction, zero-filled.
+
+    ``groups`` comes from :func:`shift_groups`; each direction's channels
+    move together in one copy, so a shift is at most nine copies into one
+    zeroed output.  ``inverse=True`` shifts the opposite way (the adjoint,
+    used for gradients).
+    """
+    out = np.zeros_like(x)
+    h, w = x.shape[-2], x.shape[-1]
+    for channels, dy, dx in groups:
+        if inverse:
+            dy, dx = -dy, -dx
+        dst_y, dst_x, src_y, src_x = _shift_windows(dy, dx, h, w)
+        out[:, channels, dst_y, dst_x] = x[:, channels, src_y, src_x]
+    return out
+
+
 class Shift2d(Module):
     """Parameter-free per-channel spatial shift (Wu et al., 2017).
 
     Channels are divided as evenly as possible among the nine directions in
     :data:`SHIFT_DIRECTIONS`.  Pixels shifted in from outside the image are
-    zero.  The backward pass applies the inverse shift to the gradient.
+    zero.  The direction groups are precompiled once, so a shift is at most
+    nine strided copies (:func:`shift_channels`).  The backward pass applies
+    the inverse shift to the gradient.
     """
 
     def __init__(self, channels: int):
@@ -135,44 +202,18 @@ class Shift2d(Module):
         if channels <= 0:
             raise ValueError("channels must be positive")
         self.channels = channels
-        self.assignment = self._assign_directions(channels)
-
-    @staticmethod
-    def _assign_directions(channels: int) -> np.ndarray:
-        """Return an array of direction indices, one per channel."""
-        reps = int(np.ceil(channels / len(SHIFT_DIRECTIONS)))
-        assignment = np.tile(np.arange(len(SHIFT_DIRECTIONS)), reps)[:channels]
-        return assignment
-
-    @staticmethod
-    def _shift_channel(plane: np.ndarray, dy: int, dx: int) -> np.ndarray:
-        """Shift a (B, H, W) plane by (dy, dx) with zero fill."""
-        out = np.zeros_like(plane)
-        h, w = plane.shape[-2], plane.shape[-1]
-        src_y = slice(max(0, -dy), min(h, h - dy))
-        dst_y = slice(max(0, dy), min(h, h + dy))
-        src_x = slice(max(0, -dx), min(w, w - dx))
-        dst_x = slice(max(0, dx), min(w, w + dx))
-        out[..., dst_y, dst_x] = plane[..., src_y, src_x]
-        return out
+        self.assignment = assign_directions(channels)
+        self.groups = shift_groups(self.assignment)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.channels:
             raise ValueError(
                 f"Shift2d expected (batch, {self.channels}, H, W), got {x.shape}"
             )
-        out = np.empty_like(x)
-        for c in range(self.channels):
-            dy, dx = SHIFT_DIRECTIONS[self.assignment[c]]
-            out[:, c] = self._shift_channel(x[:, c], dy, dx)
-        return out
+        return shift_channels(x, self.groups)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        grad_input = np.empty_like(grad_output)
-        for c in range(self.channels):
-            dy, dx = SHIFT_DIRECTIONS[self.assignment[c]]
-            grad_input[:, c] = self._shift_channel(grad_output[:, c], -dy, -dx)
-        return grad_input
+        return shift_channels(grad_output, self.groups, inverse=True)
 
 
 class ShiftConv2d(Module):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn.layers import SHIFT_DIRECTIONS, Shift2d
+from repro.nn.layers import assign_directions, shift_channels, shift_groups
 from repro.quant.linear import LinearQuantizer
 
 
@@ -17,8 +17,10 @@ class ShiftBlock:
     The hardware block fetches 8-bit input maps from the input buffer with
     the offset selected by the shift control signal; functionally this is
     the same per-channel zero-filled translation as the network's
-    :class:`~repro.nn.layers.Shift2d` layer, so the block reuses that
-    assignment logic to guarantee bit-exact agreement with training.
+    :class:`~repro.nn.layers.Shift2d` layer, and it runs the same
+    :func:`~repro.nn.layers.shift_channels` over the same precompiled
+    direction groups — at most nine strided copies — to guarantee
+    bit-exact agreement with training.
     """
 
     channels: int
@@ -26,7 +28,8 @@ class ShiftBlock:
     def __post_init__(self) -> None:
         if self.channels < 1:
             raise ValueError("channels must be >= 1")
-        self.assignment = Shift2d._assign_directions(self.channels)
+        self.assignment = assign_directions(self.channels)
+        self.groups = shift_groups(self.assignment)
 
     def apply(self, activations: np.ndarray) -> np.ndarray:
         """Shift an (batch, channels, H, W) activation tensor."""
@@ -34,11 +37,7 @@ class ShiftBlock:
             raise ValueError(
                 f"expected (batch, {self.channels}, H, W), got {activations.shape}"
             )
-        output = np.empty_like(activations)
-        for channel in range(self.channels):
-            dy, dx = SHIFT_DIRECTIONS[self.assignment[channel]]
-            output[:, channel] = Shift2d._shift_channel(activations[:, channel], dy, dx)
-        return output
+        return shift_channels(activations, self.groups)
 
     def to_data_matrix(self, activations: np.ndarray) -> np.ndarray:
         """Flatten shifted activations into the (channels, words) data matrix.
