@@ -95,10 +95,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.combining import (
-    GROUPING_ENGINES,
     MAX_BITS,
     MIN_BITS,
-    PRUNE_ENGINES,
     PackedArtifactError,
     PackedModel,
     QuantizedPackedModel,
@@ -184,11 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     pack.add_argument("--gamma", type=float, default=0.5)
     pack.add_argument("--array-rows", type=int, default=32)
     pack.add_argument("--array-cols", type=int, default=32)
-    pack.add_argument("--engine", choices=list(GROUPING_ENGINES), default="fast",
-                      help="column-grouping engine (vectorized fast path or the "
-                           "reference Python loop)")
-    pack.add_argument("--prune-engine", choices=list(PRUNE_ENGINES), default="fast",
-                      help="conflict-pruning engine for Algorithm 3")
     pack.add_argument("--seed", type=int, default=0)
 
     pack_model = subparsers.add_parser(
@@ -206,11 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     pack_model.add_argument("--workers", type=_positive_int, default=1,
                             help="fan the per-layer packing out over N processes "
                                  "(results are identical to a serial run)")
-    pack_model.add_argument("--engine", choices=list(GROUPING_ENGINES), default="fast",
-                            help="column-grouping engine (Algorithm 2)")
-    pack_model.add_argument("--prune-engine", choices=list(PRUNE_ENGINES),
-                            default="fast",
-                            help="conflict-pruning engine (Algorithm 3)")
     pack_model.add_argument("--trace-out", type=str, default=None,
                             help="write the pipeline's per-layer "
                                  "group/prune/pack/tile stage spans as "
@@ -246,12 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     quantize.add_argument("--workers", type=_positive_int, default=1,
                           help="fan the per-layer packing out over N processes "
                                "(results are identical to a serial run)")
-    quantize.add_argument("--engine", choices=list(GROUPING_ENGINES),
-                          default="fast",
-                          help="column-grouping engine (Algorithm 2)")
-    quantize.add_argument("--prune-engine", choices=list(PRUNE_ENGINES),
-                          default="fast",
-                          help="conflict-pruning engine (Algorithm 3)")
     quantize.add_argument("--seed", type=int, default=0)
 
     save = subparsers.add_parser(
@@ -285,11 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     save.add_argument("--model-scale", type=float, default=FAST_RUN.model_scale)
     save.add_argument("--workers", type=_positive_int, default=1,
                       help="fan the per-layer packing out over N processes")
-    save.add_argument("--engine", choices=list(GROUPING_ENGINES),
-                      default="fast", help="column-grouping engine (Algorithm 2)")
-    save.add_argument("--prune-engine", choices=list(PRUNE_ENGINES),
-                      default="fast",
-                      help="conflict-pruning engine (Algorithm 3)")
     save.add_argument("--no-compress", action="store_true",
                       help="write the artifact uncompressed (faster loads, "
                            "bigger file)")
@@ -412,10 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--image-size", type=int, default=FAST_RUN.image_size)
     train.add_argument("--model-scale", type=float, default=FAST_RUN.model_scale)
     train.add_argument("--lr", type=float, default=0.05)
-    train.add_argument("--engine", choices=list(GROUPING_ENGINES), default="fast",
-                      help="column-grouping engine used by every grouping step")
-    train.add_argument("--prune-engine", choices=list(PRUNE_ENGINES), default="fast",
-                      help="conflict-pruning engine used by every prune round")
     train.add_argument("--seed", type=int, default=0)
 
     experiment = subparsers.add_parser("experiment", help="run a paper experiment")
@@ -437,9 +410,8 @@ def _command_pack(args: argparse.Namespace) -> int:
     else:
         rng = np.random.default_rng(args.seed)
         matrix = sparse_filter_matrix(args.rows, args.cols, args.density, rng)
-    grouping = group_columns(matrix, alpha=args.alpha, gamma=args.gamma,
-                             engine=args.engine)
-    packed = pack_filter_matrix(matrix, grouping, engine=args.prune_engine)
+    grouping = group_columns(matrix, alpha=args.alpha, gamma=args.gamma)
+    packed = pack_filter_matrix(matrix, grouping)
     report = packing_report([("matrix", packed)], array_rows=args.array_rows,
                             array_cols=args.array_cols)
     layer = report.layers[0]
@@ -459,8 +431,6 @@ def _command_pack_model(args: argparse.Namespace) -> int:
     density = args.density if args.density is not None else PAPER_DENSITY[args.network]
     layers = sparse_network(args.network, density=density, seed=args.seed)
     with packing_pipeline(alpha=args.alpha, gamma=args.gamma,
-                          grouping_engine=args.engine,
-                          prune_engine=args.prune_engine,
                           array_rows=args.array_rows, array_cols=args.array_cols,
                           workers=args.workers, seed=args.seed) as pipeline:
         result = pipeline.run(layers)
@@ -514,8 +484,6 @@ def _command_quantize_model(args: argparse.Namespace) -> int:
     train, test = prepare_data(DATASET_FOR_MODEL[args.model], run_cfg)
     calibration_images = train.images[:args.calibration_batches * args.batch_size]
     with packing_pipeline(alpha=args.alpha, gamma=args.gamma,
-                          grouping_engine=args.engine,
-                          prune_engine=args.prune_engine,
                           workers=args.workers, seed=args.seed) as pipeline:
         packed = PackedModel.from_model(model, pipeline=pipeline)
 
@@ -598,8 +566,6 @@ def _command_save_packed(args: argparse.Namespace) -> int:
     model = quant_sweep.sparsified_model(args.model, run_cfg,
                                          density=args.density, seed=args.seed)
     with packing_pipeline(alpha=args.alpha, gamma=args.gamma,
-                          grouping_engine=args.engine,
-                          prune_engine=args.prune_engine,
                           workers=args.workers, seed=args.seed) as pipeline:
         packed = PackedModel.from_model(model, pipeline=pipeline)
     artifact: PackedModel | QuantizedPackedModel = packed
@@ -939,9 +905,7 @@ def _command_train(args: argparse.Namespace) -> int:
                           final_epochs=args.final_epochs, model_scale=args.model_scale,
                           seed=args.seed)
     config = combine_config(run, alpha=args.alpha, beta=args.beta, gamma=args.gamma,
-                            target_fraction=args.target_fraction, lr=args.lr,
-                            grouping_engine=args.engine,
-                            prune_engine=args.prune_engine)
+                            target_fraction=args.target_fraction, lr=args.lr)
     result = run_column_combining(args.model, run, config)
     trainer = result["trainer"]
     history = result["history"]

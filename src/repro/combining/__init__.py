@@ -65,18 +65,21 @@ same two names: ``"fast"`` selects every group's row winners in one
 ``ufunc.at`` scatter pass over the packed nonzero-entry list, while
 ``"reference"`` is the per-group dense-slice loop.
 
-The knobs thread through the rest of the stack as
-:attr:`~repro.combining.trainer.ColumnCombineConfig.grouping_engine` /
-:attr:`~repro.combining.trainer.ColumnCombineConfig.prune_engine`
-(Algorithm 1 training), the ``engine`` parameters of
-:func:`~repro.combining.tiling.tiles_for_model` and
-:func:`~repro.combining.packing.pack_filter_matrix`, the
-``grouping_engine`` / ``prune_engine`` fields of
-:class:`~repro.combining.pipeline.PipelineConfig` and keywords of
-:func:`repro.experiments.common.combine_config`, and the ``--engine`` /
-``--prune-engine`` flags of the ``pack`` / ``train`` CLI subcommands.
-Valid names are listed in
-:data:`~repro.combining.grouping.GROUPING_ENGINES` and
+Every other caller — :func:`~repro.combining.tiling.tiles_for_model`,
+:func:`~repro.combining.packing.pack_filter_matrix`, the Algorithm 1
+trainer, the experiments and the CLI — always runs the fast engines.  The
+choice survives in exactly five places: the ``engine`` argument of
+:func:`~repro.combining.grouping.group_columns`,
+:func:`~repro.combining.pruning.conflict_mask` and
+:func:`~repro.combining.pruning.column_combine_prune`, which the
+differential suites call with both names; and the ``grouping_engine`` /
+``prune_engine`` fields of
+:class:`~repro.combining.pipeline.PipelineConfig`, which packed artifacts
+record in their ``pipeline_config`` (the checked-in V1 golden artifacts
+carry both, and :meth:`PipelineConfig.from_dict
+<repro.combining.pipeline.PipelineConfig.from_dict>` rejects unknown
+fields) and which the benchmark's traced pack replay reads.  Valid names
+are listed in :data:`~repro.combining.grouping.GROUPING_ENGINES` and
 :data:`~repro.combining.pruning.PRUNE_ENGINES`.
 """
 

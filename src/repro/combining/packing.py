@@ -154,8 +154,7 @@ class PackedFilterMatrix:
 
 
 def pack_filter_matrix(matrix: np.ndarray, grouping: ColumnGrouping,
-                       prune_conflicts: bool = True,
-                       engine: str = "fast") -> PackedFilterMatrix:
+                       prune_conflicts: bool = True) -> PackedFilterMatrix:
     """Build a :class:`PackedFilterMatrix` from a filter matrix and grouping.
 
     If ``prune_conflicts`` is true (the normal case), Algorithm 3 is applied
@@ -163,8 +162,7 @@ def pack_filter_matrix(matrix: np.ndarray, grouping: ColumnGrouping,
     ``prune_conflicts=False`` the matrix must already satisfy that property
     (e.g. the γ=0 "column-combine without pruning" baseline); a conflict in
     that case raises ``ValueError`` because the packing would silently drop
-    weights.  ``engine`` selects the Algorithm 3 implementation (see
-    :data:`~repro.combining.pruning.PRUNE_ENGINES`).
+    weights.
 
     After conflict pruning every (row, group) cell holds at most one
     nonzero, so the packing itself is one scatter over the nonzero entries
@@ -177,7 +175,7 @@ def pack_filter_matrix(matrix: np.ndarray, grouping: ColumnGrouping,
         raise ValueError("grouping does not match matrix shape")
 
     if prune_conflicts:
-        pruned, _ = column_combine_prune(matrix, grouping, engine=engine)
+        pruned, _ = column_combine_prune(matrix, grouping)
     else:
         pruned = matrix
 

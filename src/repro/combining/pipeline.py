@@ -33,10 +33,12 @@ Usage::
     print(layer.columns_before, "->", layer.columns_after,
           f"tiles {layer.tiles_before} -> {layer.tiles_after}")
 
-Both engine knobs thread through: ``grouping_engine`` selects the
-Algorithm 2 implementation (:data:`~repro.combining.grouping.GROUPING_ENGINES`)
-and ``prune_engine`` the Algorithm 3 one
-(:data:`~repro.combining.pruning.PRUNE_ENGINES`).
+``grouping_engine`` selects the Algorithm 2 implementation
+(:data:`~repro.combining.grouping.GROUPING_ENGINES`) and ``prune_engine``
+the Algorithm 3 one (:data:`~repro.combining.pruning.PRUNE_ENGINES`).
+Both default to ``"fast"``; they stay settable here because packed
+artifacts record them and the differential suites run the reference
+loops through the pipeline.
 """
 
 from __future__ import annotations

@@ -152,9 +152,8 @@ def column_combine_prune(matrix: np.ndarray, grouping: ColumnGrouping,
     return matrix * keep, keep
 
 
-def pruned_weight_count(matrix: np.ndarray, grouping: ColumnGrouping,
-                        engine: str = "fast") -> int:
+def pruned_weight_count(matrix: np.ndarray, grouping: ColumnGrouping) -> int:
     """Number of weights Algorithm 3 would remove for this grouping."""
     matrix = np.asarray(matrix)
-    keep = conflict_mask(matrix, grouping, engine=engine)
+    keep = conflict_mask(matrix, grouping)
     return int(np.count_nonzero(matrix) - np.count_nonzero(matrix * keep))

@@ -43,20 +43,17 @@ def tiles_for_layer(matrix: np.ndarray, array_rows: int, array_columns: int,
 
 
 def tiles_for_model(matrices: list[np.ndarray], array_rows: int, array_columns: int,
-                    alpha: int = 1, gamma: float = 0.0,
-                    engine: str = "fast") -> list[int]:
+                    alpha: int = 1, gamma: float = 0.0) -> list[int]:
     """Per-layer tile counts for a list of filter matrices.
 
     ``alpha = 1`` reproduces the baseline (no combining); larger ``alpha``
     groups columns with the given conflict budget before counting tiles.
-    ``engine`` selects the grouping engine (see
-    :func:`~repro.combining.grouping.group_columns`).
     """
     counts: list[int] = []
     for matrix in matrices:
         if alpha <= 1:
             counts.append(tiles_for_layer(matrix, array_rows, array_columns))
         else:
-            grouping = group_columns(matrix, alpha=alpha, gamma=gamma, engine=engine)
+            grouping = group_columns(matrix, alpha=alpha, gamma=gamma)
             counts.append(tiles_for_layer(matrix, array_rows, array_columns, grouping))
     return counts

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.combining.grouping import GROUPING_ENGINES, ColumnGrouping, group_columns
+from repro.combining.grouping import ColumnGrouping, group_columns
 from repro.combining.packing import PackedFilterMatrix, pack_filter_matrix
-from repro.combining.pruning import PRUNE_ENGINES, conflict_mask
+from repro.combining.pruning import conflict_mask
 from repro.data.augment import augment_batch
 from repro.data.dataset import Dataset
 from repro.data.loader import DataLoader
@@ -57,14 +57,6 @@ class ColumnCombineConfig:
     target_fraction: float = 0.15
     beta_decay: float = 0.9
     grouping_policy: str = "dense-first"
-    #: column-grouping engine: ``"fast"`` (vectorized bitset) or
-    #: ``"reference"`` (the per-group Python loop kept for differential
-    #: testing); see :func:`repro.combining.grouping.group_columns`.
-    grouping_engine: str = "fast"
-    #: conflict-pruning engine for Algorithm 3's per-round prune step:
-    #: ``"fast"`` (one-pass scatter) or ``"reference"`` (per-group loop);
-    #: see :func:`repro.combining.pruning.conflict_mask`.
-    prune_engine: str = "fast"
     lr: float = 0.05
     momentum: float = 0.9
     nesterov: bool = True
@@ -102,14 +94,6 @@ class ColumnCombineConfig:
             raise ValueError("final_epochs must be non-negative")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
-        if self.grouping_engine not in GROUPING_ENGINES:
-            raise ValueError(
-                f"unknown grouping engine {self.grouping_engine!r}; "
-                f"expected one of {GROUPING_ENGINES}")
-        if self.prune_engine not in PRUNE_ENGINES:
-            raise ValueError(
-                f"unknown prune engine {self.prune_engine!r}; "
-                f"expected one of {PRUNE_ENGINES}")
 
 
 @dataclass
@@ -250,12 +234,10 @@ class ColumnCombineTrainer:
             grouping = group_columns(layer.weight.data, alpha=self.config.alpha,
                                      gamma=self.config.gamma,
                                      policy=self.config.grouping_policy,
-                                     rng=self.rng,
-                                     engine=self.config.grouping_engine)
+                                     rng=self.rng)
             # Step 3: prune conflicts within each group and install the mask
             # so retraining keeps pruned weights at zero.
-            keep = conflict_mask(layer.weight.data, grouping,
-                                 engine=self.config.prune_engine)
+            keep = conflict_mask(layer.weight.data, grouping)
             layer.weight.set_mask(keep)
             groupings[name] = grouping
         self.groupings = groupings
@@ -310,10 +292,8 @@ class ColumnCombineTrainer:
             if grouping is None:
                 grouping = group_columns(layer.weight.data, alpha=self.config.alpha,
                                          gamma=self.config.gamma,
-                                         policy=self.config.grouping_policy,
-                                         engine=self.config.grouping_engine)
-            packed.append((name, pack_filter_matrix(layer.weight.data, grouping,
-                                                    engine=self.config.prune_engine)))
+                                         policy=self.config.grouping_policy)
+            packed.append((name, pack_filter_matrix(layer.weight.data, grouping)))
         return packed
 
 

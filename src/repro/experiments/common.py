@@ -70,38 +70,31 @@ def prepare_model(name: str, config: RunConfig) -> Module:
 def combine_config(run: RunConfig, *, alpha: int = 8, beta: float = 0.20,
                    gamma: float = 0.5, target_fraction: float = 0.2,
                    max_rounds: int = 6, lr: float = 0.05,
-                   grouping_policy: str = "dense-first",
-                   grouping_engine: str = "fast",
-                   prune_engine: str = "fast") -> ColumnCombineConfig:
+                   grouping_policy: str = "dense-first") -> ColumnCombineConfig:
     """Algorithm 1 configuration derived from a :class:`RunConfig`."""
     return ColumnCombineConfig(
         alpha=alpha, beta=beta, gamma=gamma, target_fraction=target_fraction,
         epochs_per_round=run.epochs_per_round, final_epochs=run.final_epochs,
         batch_size=run.batch_size, max_rounds=max_rounds, lr=lr, seed=run.seed,
-        grouping_policy=grouping_policy, grouping_engine=grouping_engine,
-        prune_engine=prune_engine,
+        grouping_policy=grouping_policy,
     )
 
 
 def packing_pipeline(*, alpha: int = 8, gamma: float = 0.5,
                      policy: str = "dense-first",
-                     grouping_engine: str = "fast",
-                     prune_engine: str = "fast",
                      array_rows: int = 32, array_cols: int = 32,
                      workers: int = 1, seed: int = 0,
                      pool: ProcessPoolExecutor | None = None) -> PackingPipeline:
     """A :class:`PackingPipeline` for the structural experiment sweeps.
 
     Thin keyword wrapper around :class:`PipelineConfig` so every runner
-    builds its pipeline the same way and gains the ``workers`` /
-    ``grouping_engine`` / ``prune_engine`` knobs uniformly.  ``pool``
-    lends a shared executor to the pipeline (see
+    builds its pipeline the same way and gains the ``workers`` knob
+    uniformly.  ``pool`` lends a shared executor to the pipeline (see
     :class:`~repro.combining.pipeline.PackingPipeline`), letting sweeps
     that plan several (α, γ) settings fork one pool for all of them.
     """
     return PackingPipeline(PipelineConfig(
         alpha=alpha, gamma=gamma, policy=policy,
-        grouping_engine=grouping_engine, prune_engine=prune_engine,
         array_rows=array_rows, array_cols=array_cols,
         workers=workers, seed=seed,
     ), pool=pool)

@@ -20,14 +20,11 @@ from repro.experiments.workloads import sparse_filter_matrix
 
 def run(rows: int = 96, cols: int = 94, density: float = 0.16, alpha: int = 8,
         gamma: float = 0.5, array_rows: int = 32, array_cols: int = 32,
-        seed: int = 0, grouping_engine: str = "fast",
-        prune_engine: str = "fast", workers: int = 1) -> dict[str, Any]:
+        seed: int = 0, workers: int = 1) -> dict[str, Any]:
     """Pack one sparse layer and report columns / density / tiles before and after."""
     rng = np.random.default_rng(seed)
     matrix = sparse_filter_matrix(rows, cols, density, rng)
     pipeline = packing_pipeline(alpha=alpha, gamma=gamma,
-                                grouping_engine=grouping_engine,
-                                prune_engine=prune_engine,
                                 array_rows=array_rows, array_cols=array_cols,
                                 workers=workers)
     layer = pipeline.run([("fig14b-layer", matrix)]).layers[0]

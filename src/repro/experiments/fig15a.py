@@ -27,8 +27,8 @@ SETTINGS: tuple[tuple[str, int, float], ...] = (
 
 
 def run(density: float | None = None, array_rows: int = 32, array_cols: int = 32,
-        width_multiplier: int = 6, seed: int = 0, grouping_engine: str = "fast",
-        prune_engine: str = "fast", workers: int = 1) -> dict[str, Any]:
+        width_multiplier: int = 6, seed: int = 0, workers: int = 1
+        ) -> dict[str, Any]:
     """Count per-layer tiles for the three parameter settings."""
     density = density if density is not None else PAPER_DENSITY["resnet20"]
     layers = sparse_network("resnet20", density=density, seed=seed,
@@ -38,8 +38,6 @@ def run(density: float | None = None, array_rows: int = 32, array_cols: int = 32
     with shared_packing_pool(workers) as pool:
         for setting, alpha, gamma in SETTINGS:
             pipeline = packing_pipeline(alpha=alpha, gamma=gamma,
-                                        grouping_engine=grouping_engine,
-                                        prune_engine=prune_engine,
                                         array_rows=array_rows, array_cols=array_cols,
                                         workers=workers, pool=pool)
             per_setting[setting] = pipeline.run(layers).tiles_after()

@@ -20,9 +20,8 @@ across the three networks, so its persistent worker pool is forked once)
 and are assembled into a :class:`~repro.combining.inference.PackedModel`,
 whose :meth:`~repro.combining.inference.PackedModel.plan` provides the
 model-level tile / cycle accounting.  ``workers`` fans the per-layer
-packing out over processes; ``grouping_engine`` / ``prune_engine`` select
-the Algorithm 2 / 3 implementations.  Results are identical for any
-``workers`` value.
+packing out over processes.  Results are identical for any ``workers``
+value.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ SHAPE_KWARGS: dict[str, dict[str, Any]] = {
 def plan_setting(network: str, alpha: int, gamma: float, array_rows: int = 32,
                  array_cols: int = 32, seed: int = 0,
                  pipeline: PackingPipeline | None = None,
-                 grouping_engine: str = "fast", prune_engine: str = "fast",
                  workers: int = 1) -> dict[str, Any]:
     """Plan a full-size network execution under one parameter setting.
 
@@ -79,8 +77,6 @@ def plan_setting(network: str, alpha: int, gamma: float, array_rows: int = 32,
     owns_pipeline = pipeline is None
     if pipeline is None:
         pipeline = packing_pipeline(alpha=alpha, gamma=gamma,
-                                    grouping_engine=grouping_engine,
-                                    prune_engine=prune_engine,
                                     array_rows=array_rows, array_cols=array_cols,
                                     workers=workers, seed=seed)
     else:
@@ -88,8 +84,6 @@ def plan_setting(network: str, alpha: int, gamma: float, array_rows: int = 32,
         mismatches = [
             f"{knob}={wanted!r} vs pipeline {getattr(config, knob)!r}"
             for knob, wanted in (("alpha", alpha), ("gamma", gamma),
-                                 ("grouping_engine", grouping_engine),
-                                 ("prune_engine", prune_engine),
                                  ("array_rows", array_rows),
                                  ("array_cols", array_cols),
                                  ("seed", seed),
@@ -112,8 +106,7 @@ def plan_setting(network: str, alpha: int, gamma: float, array_rows: int = 32,
 
 
 def run(run_config: RunConfig | None = None, include_accuracy: bool = True,
-        frequency_hz: float = 4.0e8, seed: int = 0, workers: int = 1,
-        grouping_engine: str = "fast", prune_engine: str = "fast"
+        frequency_hz: float = 4.0e8, seed: int = 0, workers: int = 1
         ) -> dict[str, Any]:
     """Run Figure 16 for all networks and settings."""
     run_config = run_config if run_config is not None else FAST_RUN
@@ -124,8 +117,7 @@ def run(run_config: RunConfig | None = None, include_accuracy: bool = True,
         pool = stack.enter_context(shared_packing_pool(workers))
         pipelines = {
             setting: stack.enter_context(packing_pipeline(
-                alpha=alpha, gamma=gamma, grouping_engine=grouping_engine,
-                prune_engine=prune_engine, workers=workers, seed=seed,
+                alpha=alpha, gamma=gamma, workers=workers, seed=seed,
                 pool=pool))
             for setting, alpha, gamma in SETTINGS
         }
@@ -133,17 +125,13 @@ def run(run_config: RunConfig | None = None, include_accuracy: bool = True,
             per_setting: dict[str, Any] = {}
             for setting, alpha, gamma in SETTINGS:
                 planned = plan_setting(network, alpha, gamma, seed=seed,
-                                       grouping_engine=grouping_engine,
-                                       prune_engine=prune_engine,
                                        pipeline=pipelines[setting])
                 design = ASICDesign(name=setting, frequency_hz=frequency_hz)
                 accuracy = float("nan")
                 if include_accuracy:
                     cc_config = combine_config(
                         run_config, alpha=alpha,
-                        gamma=gamma if alpha > 1 else 0.0,
-                        grouping_engine=grouping_engine,
-                        prune_engine=prune_engine)
+                        gamma=gamma if alpha > 1 else 0.0)
                     trained = run_column_combining(network, run_config, cc_config)
                     accuracy = trained["final_accuracy"]
                 report = evaluate_asic(design, planned["plan"], network, accuracy)

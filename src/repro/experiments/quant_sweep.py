@@ -124,15 +124,12 @@ def run(networks: Sequence[str] = NETWORKS,
         calibration: str = "max", percentile: float = 99.5,
         calibration_samples: int = 64, eval_samples: int | None = None,
         alpha: int = 8, gamma: float = 0.5, workers: int = 1,
-        grouping_engine: str = "fast", prune_engine: str = "fast",
         seed: int = 0) -> dict[str, Any]:
     """Run the accuracy-vs-bits sweep for every requested network."""
     run_config = run_config if run_config is not None else FAST_RUN
     results: dict[str, Any] = {}
     with shared_packing_pool(workers) as pool:
         with packing_pipeline(alpha=alpha, gamma=gamma,
-                              grouping_engine=grouping_engine,
-                              prune_engine=prune_engine,
                               workers=workers, seed=seed,
                               pool=pool) as pipeline:
             for network in networks:

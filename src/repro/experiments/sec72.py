@@ -13,9 +13,8 @@ run through the :class:`~repro.combining.pipeline.PackingPipeline` (α=8,
 γ=0.5, the paper's setting) and are assembled into a
 :class:`~repro.combining.inference.PackedModel`, whose cell-weighted
 packing efficiency feeds the same ratio formula.  ``workers`` fans the
-per-layer packing out over the pipeline's persistent process pool;
-``grouping_engine`` / ``prune_engine`` pick the Algorithm 2 / 3
-implementations.  Results are identical for any ``workers`` value.
+per-layer packing out over the pipeline's persistent process pool.
+Results are identical for any ``workers`` value.
 """
 
 from __future__ import annotations
@@ -39,8 +38,7 @@ PAPER_MEMORY_RATIO: dict[str, float] = {
 
 def measure_packed_networks(networks: Sequence[str] = ("lenet5", "resnet20"),
                             alpha: int = 8, gamma: float = 0.5, seed: int = 0,
-                            workers: int = 1, grouping_engine: str = "fast",
-                            prune_engine: str = "fast") -> dict[str, dict[str, float]]:
+                            workers: int = 1) -> dict[str, dict[str, float]]:
     """Measured packing efficiency -> efficiency ratio per network.
 
     Packs each network's full-size sparse workload through one (pool-
@@ -56,9 +54,8 @@ def measure_packed_networks(networks: Sequence[str] = ("lenet5", "resnet20"),
             f"no paper-reported memory ratio for {missing}; known networks: "
             f"{sorted(PAPER_MEMORY_RATIO)}")
     measured: dict[str, dict[str, float]] = {}
-    with packing_pipeline(alpha=alpha, gamma=gamma, workers=workers, seed=seed,
-                          grouping_engine=grouping_engine,
-                          prune_engine=prune_engine) as pipeline:
+    with packing_pipeline(alpha=alpha, gamma=gamma, workers=workers,
+                          seed=seed) as pipeline:
         for network in networks:
             layers = sparse_network(network, density=PAPER_DENSITY[network],
                                     seed=seed)
@@ -76,8 +73,7 @@ def measure_packed_networks(networks: Sequence[str] = ("lenet5", "resnet20"),
 
 def run(packing_efficiencies: Sequence[float] = DEFAULT_PACKING,
         memory_ratios: Sequence[float] = DEFAULT_R,
-        include_measured: bool = True, seed: int = 0, workers: int = 1,
-        grouping_engine: str = "fast", prune_engine: str = "fast"
+        include_measured: bool = True, seed: int = 0, workers: int = 1
         ) -> dict[str, Any]:
     """Tabulate the efficiency ratio over packing efficiency and r."""
     grid: list[dict[str, float]] = []
@@ -94,9 +90,7 @@ def run(packing_efficiencies: Sequence[float] = DEFAULT_PACKING,
     }
     measured: dict[str, dict[str, float]] = {}
     if include_measured:
-        measured = measure_packed_networks(seed=seed, workers=workers,
-                                           grouping_engine=grouping_engine,
-                                           prune_engine=prune_engine)
+        measured = measure_packed_networks(seed=seed, workers=workers)
     return {
         "experiment": "sec7.2",
         "grid": grid,

@@ -7,14 +7,16 @@ artifact **once per content generation** through
 :func:`~repro.combining.serialization.load_plan` with ``mmap="auto"``
 and caches a :class:`~repro.serving.registry.ResidentModel` over the
 resulting :class:`~repro.combining.execplan.ExecutionPlan` in its own
-module globals, keyed by ``(path, fingerprint, mode)`` — so N
+module globals, keyed by ``(path, fingerprint)`` — so N
 workers serving one V2 uncompressed artifact share a single resident
 copy of the packed arrays through the page cache, the cost of crossing
 the process boundary is one batch of activations each way (never a
 model), and a hot-swapped artifact takes effect in every warm worker on
 its next batch: the registry's new fingerprint misses the cache, the
 worker re-verifies the file against it, and the superseded plan ages out
-of the bounded LRU.
+of the bounded LRU.  The mode rides along with each batch rather than in
+the key: one plan serves every mode, so an artifact registered under
+both ``exact`` and ``mx`` is loaded and held once per worker.
 
 Because a worker runs the thread backend's own batch executor
 (:meth:`~repro.serving.registry.ResidentModel.serve_batch`), responses
@@ -48,7 +50,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serving.registry import ResidentModel
 from repro.utils.lru import LRUCache
 
-#: How many distinct ``(path, fingerprint, mode)`` entries one worker
+#: How many distinct ``(path, fingerprint)`` entries one worker
 #: keeps resident.  Plans are the expensive part (they pin the mmap'd
 #: arrays), and a worker serving a registry that hot-swaps artifacts
 #: would otherwise accumulate every superseded generation forever.  Each
@@ -56,7 +58,7 @@ from repro.utils.lru import LRUCache
 #: in :mod:`repro.serving.registry`).
 PLAN_CACHE_SIZE = 4
 
-#: Per-process cache: ``(artifact path, content fingerprint, mode)`` ->
+#: Per-process cache: ``(artifact path, content fingerprint)`` ->
 #: :class:`~repro.serving.registry.ResidentModel` over the loaded plan.
 #: Lives in the worker's own interpreter; the parent never touches it.
 #: Keying by fingerprint — not path alone — is what makes artifact
@@ -79,7 +81,9 @@ _WORKER_METRICS = MetricsRegistry()
 
 def _resident_for(path: str, fingerprint: str | None,
                   mode: str) -> ResidentModel:
-    key = (path, fingerprint, mode)
+    """This worker's entry for the artifact; ``mode`` only seeds a new
+    entry's default, since every batch passes its own."""
+    key = (path, fingerprint)
     resident = _PLAN_CACHE.get(key)
     if resident is None:
         if fingerprint is not None:
@@ -132,7 +136,7 @@ def _run_plan_batch(path: str, mode: str, batch: np.ndarray,
     """
     resident = _resident_for(path, fingerprint, mode)
     result = resident.serve_batch(batch, _WORKER_METRICS if profile else None,
-                                  label=model_name)
+                                  label=model_name, mode=mode)
     obs = result[4]
     if obs is not None:
         obs.update(pid=os.getpid(), snapshot=_WORKER_METRICS.snapshot())

@@ -184,7 +184,7 @@ class ResidentModel:
 
     def serve_batch(self, batch: np.ndarray,
                     metrics: MetricsRegistry | None = None,
-                    label: str | None = None
+                    label: str | None = None, mode: str | None = None
                     ) -> tuple[np.ndarray, int, int, bool | None,
                                dict[str, Any] | None]:
         """Serve one coalesced batch: ``(outputs, cycles, tiles,
@@ -209,11 +209,16 @@ class ResidentModel:
         ``serving_profiled_batches``, labelled with ``label`` (default
         :attr:`name`), and ``obs`` becomes ``{"layer_ns", "forward_ns"}``
         (integer nanoseconds).  Without ``metrics``, ``obs`` is ``None``.
+
+        ``mode`` overrides :attr:`mode` for this batch.  A worker process
+        holds one entry per artifact and passes each batch's registered
+        mode; neither the plan nor its accounting depends on the mode.
         """
         observed: dict[str, tuple[int, int]] = {}
         layer_ns: dict[str, int] | None = None if metrics is None else {}
+        mode = self.mode if mode is None else mode
         started = time.perf_counter_ns()
-        outputs = self.plan.forward(batch, mode=self.mode,
+        outputs = self.plan.forward(batch, mode=mode,
                                     batch_invariant=True, observed=observed,
                                     profile=layer_ns)
         obs: dict[str, Any] | None = None

@@ -34,31 +34,6 @@ def test_pack_command_prints_report(capsys):
     assert "multiplexing degree" in output
 
 
-def test_pack_command_engines_print_identical_reports(capsys):
-    assert main(["pack", "--rows", "48", "--cols", "40", "--engine", "fast"]) == 0
-    fast_output = capsys.readouterr().out
-    assert main(["pack", "--rows", "48", "--cols", "40", "--engine", "reference"]) == 0
-    reference_output = capsys.readouterr().out
-    assert fast_output == reference_output
-
-
-def test_pack_command_rejects_unknown_engine():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["pack", "--engine", "turbo"])
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["pack", "--prune-engine", "turbo"])
-
-
-def test_pack_command_prune_engines_print_identical_reports(capsys):
-    assert main(["pack", "--rows", "48", "--cols", "40",
-                 "--prune-engine", "fast"]) == 0
-    fast_output = capsys.readouterr().out
-    assert main(["pack", "--rows", "48", "--cols", "40",
-                 "--prune-engine", "reference"]) == 0
-    reference_output = capsys.readouterr().out
-    assert fast_output == reference_output
-
-
 def test_pack_command_loads_matrix_from_npy(tmp_path, capsys, rng):
     matrix = rng.normal(size=(40, 30)) * (rng.random((40, 30)) < 0.2)
     path = tmp_path / "matrix.npy"
@@ -90,16 +65,6 @@ def test_pack_model_command_workers_print_identical_reports(capsys):
     assert main(["pack-model", "--network", "lenet5", "--workers", "3"]) == 0
     parallel_output = capsys.readouterr().out
     assert parallel_output == serial_output
-
-
-def test_pack_model_command_engines_print_identical_reports(capsys):
-    assert main(["pack-model", "--network", "lenet5",
-                 "--engine", "fast", "--prune-engine", "fast"]) == 0
-    fast_output = capsys.readouterr().out
-    assert main(["pack-model", "--network", "lenet5",
-                 "--engine", "reference", "--prune-engine", "reference"]) == 0
-    reference_output = capsys.readouterr().out
-    assert fast_output == reference_output
 
 
 def test_pack_model_command_respects_density_and_alpha(capsys):
@@ -149,17 +114,6 @@ def test_quantize_model_command_workers_print_identical_reports(capsys):
     assert main(arguments + ["--workers", "3"]) == 0
     parallel_output = capsys.readouterr().out
     assert parallel_output == serial_output
-
-
-@pytest.mark.slow
-def test_quantize_model_command_engines_print_identical_reports(capsys):
-    arguments = ["quantize-model", "--batch-size", "32"]
-    assert main(arguments + ["--engine", "fast", "--prune-engine", "fast"]) == 0
-    fast_output = capsys.readouterr().out
-    assert main(arguments + ["--engine", "reference",
-                             "--prune-engine", "reference"]) == 0
-    reference_output = capsys.readouterr().out
-    assert fast_output == reference_output
 
 
 def test_quantize_model_command_percentile_calibration_runs(capsys):

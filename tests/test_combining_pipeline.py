@@ -21,7 +21,8 @@ from repro.combining import (
     tile_count,
 )
 from repro.combining.pipeline import _pack_one_layer
-from repro.experiments.workloads import sparse_network
+from repro.experiments import fig16
+from repro.experiments.workloads import PAPER_DENSITY, sparse_network
 
 
 def small_layers(seed: int = 0, count: int = 3):
@@ -145,13 +146,30 @@ def test_random_policy_depends_on_seed_not_schedule():
                for a, b in zip(first.layers, second.layers))
 
 
-def test_reference_engines_through_pipeline_match_fast():
-    layers = small_layers(seed=5)
+def assert_engines_agree(layers, **knobs):
     fast = PackingPipeline(PipelineConfig(grouping_engine="fast",
-                                          prune_engine="fast")).run(layers)
+                                          prune_engine="fast", **knobs)).run(layers)
     reference = PackingPipeline(PipelineConfig(grouping_engine="reference",
-                                               prune_engine="reference")).run(layers)
+                                               prune_engine="reference",
+                                               **knobs)).run(layers)
     assert_results_identical(fast, reference)
+
+
+def test_reference_engines_through_pipeline_match_fast():
+    assert_engines_agree(small_layers(seed=5))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("setting,alpha,gamma", fig16.SETTINGS)
+@pytest.mark.parametrize("network", fig16.NETWORKS)
+def test_reference_engines_match_fast_on_full_size_networks(network, setting,
+                                                             alpha, gamma):
+    """Every network x setting that ``fig16`` packs, at the paper's density
+    and full layer shapes: the reference loops walk every layer, so this
+    is the thorough tier."""
+    layers = sparse_network(network, PAPER_DENSITY[network],
+                            **fig16.SHAPE_KWARGS[network])
+    assert_engines_agree(layers, alpha=alpha, gamma=gamma)
 
 
 # -- persistent worker pool ----------------------------------------------------------------

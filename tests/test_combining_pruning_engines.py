@@ -22,7 +22,6 @@ from repro.combining import (
     conflict_mask,
     group_columns,
     group_layout,
-    pruned_weight_count,
 )
 from repro.combining.bitset import group_occupancy, pack_columns, unpack_rows
 
@@ -133,13 +132,6 @@ def test_column_combine_prune_threads_engine():
     pruned_ref, keep_ref = column_combine_prune(matrix, grouping, engine="reference")
     np.testing.assert_array_equal(pruned_fast, pruned_ref)
     np.testing.assert_array_equal(keep_fast, keep_ref)
-
-
-def test_pruned_weight_count_threads_engine():
-    matrix = seeded_matrix(2, density=0.4)
-    grouping = group_columns(matrix, alpha=4, gamma=0.9)
-    assert (pruned_weight_count(matrix, grouping, engine="fast")
-            == pruned_weight_count(matrix, grouping, engine="reference"))
 
 
 # -- differential sweep -------------------------------------------------------------------

@@ -46,23 +46,12 @@ def test_config_validation():
         ColumnCombineConfig(epochs_per_round=-1)
     with pytest.raises(ValueError):
         ColumnCombineConfig(final_epochs=-1)
-    with pytest.raises(ValueError):
-        ColumnCombineConfig(grouping_engine="turbo")
-    with pytest.raises(ValueError):
-        ColumnCombineConfig(prune_engine="turbo")
 
 
 def test_target_nonzeros_overrides_unused_target_fraction():
     # An absolute target must not be rejected over the fraction it overrides.
     config = ColumnCombineConfig(target_nonzeros=17, target_fraction=0.0)
     assert config.target_nonzeros == 17
-
-
-def test_config_accepts_both_engines():
-    assert ColumnCombineConfig(grouping_engine="fast").grouping_engine == "fast"
-    assert ColumnCombineConfig(grouping_engine="reference").grouping_engine == "reference"
-    assert ColumnCombineConfig(prune_engine="fast").prune_engine == "fast"
-    assert ColumnCombineConfig(prune_engine="reference").prune_engine == "reference"
 
 
 def test_trainer_requires_packable_layers(tiny_mnist):

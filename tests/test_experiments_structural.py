@@ -110,16 +110,6 @@ def test_fig16_workers_four_equals_workers_one(fig16_result):
     assert parallel["factors"] == fig16_result["factors"]
 
 
-@pytest.mark.slow
-def test_fig16_engines_agree(fig16_result):
-    """The reference engines walk the full-size networks, so this stays in
-    the thorough tier; the quick tier covers engine agreement on the small
-    differential suites."""
-    reference = fig16.run(include_accuracy=False, grouping_engine="reference",
-                          prune_engine="reference")
-    assert _strip_nan_accuracy(reference) == _strip_nan_accuracy(fig16_result)
-
-
 def test_fig16_reports_packing_efficiency_per_setting(fig16_result):
     for per_setting in fig16_result["results"].values():
         for values in per_setting.values():
@@ -192,11 +182,6 @@ def test_sec72_measures_packed_models(sec72_result):
 
 def test_sec72_workers_four_equals_workers_one(sec72_result):
     assert sec72.run(workers=4) == sec72_result
-
-
-def test_sec72_engines_agree(sec72_result):
-    reference = sec72.run(grouping_engine="reference", prune_engine="reference")
-    assert reference == sec72_result
 
 
 def test_sec72_measured_section_can_be_skipped():

@@ -378,8 +378,24 @@ def test_worker_process_caches_are_bounded(tmp_path, packed_old):
                         rng.normal(size=(batch_size, 1, 8, 8)),
                         fingerprint=fingerprint)
     assert len(_PLAN_CACHE) <= PLAN_CACHE_SIZE
-    resident = _PLAN_CACHE.get((str(hot), fingerprint, "exact"))
+    resident = _PLAN_CACHE.get((str(hot), fingerprint))
     assert resident.accounting_cache_size <= ACCOUNTING_PLAN_CACHE_SIZE
+    _PLAN_CACHE.clear()
+
+
+def test_worker_loads_one_plan_per_artifact_across_modes(artifacts, packed_old):
+    """One artifact served under two modes is loaded and held once per
+    worker (exercised here in-process); each batch still runs its own
+    mode, bit-identical to the direct batch-invariant forward."""
+    old_path, _ = artifacts
+    fingerprint = artifact_fingerprint(old_path)
+    batch = np.random.default_rng(6).normal(size=(3, 1, 8, 8))
+    _PLAN_CACHE.clear()
+    for mode in ("exact", "mx", "exact"):
+        outputs = _run_plan_batch(str(old_path), mode, batch,
+                                  fingerprint=fingerprint)[0]
+        assert np.array_equal(outputs, direct_forward(packed_old, mode, batch))
+    assert len(_PLAN_CACHE) == 1
     _PLAN_CACHE.clear()
 
 
