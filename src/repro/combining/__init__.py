@@ -28,11 +28,12 @@ The public surface mirrors the paper's algorithms:
   per-model cycle / tile accounting via the systolic timing model.
 * :class:`~repro.combining.quantized.QuantizedPackedModel` — the
   serving-path integer twin of ``PackedModel``: per-layer quantizers
-  calibrated once and frozen, every packed layer chained through
-  :meth:`repro.systolic.system.SystolicSystem.run_layer`'s quantized
-  execution (``bits``-bit MX routing, 32-bit accumulation, per-layer
-  re-quantization), with per-layer error reports and bit-width-aware
-  cycle accounting.
+  calibrated once and frozen, every packed layer run as one exact
+  integer GEMM, bit-identical to
+  :meth:`repro.systolic.system.SystolicSystem.run_layer`'s tiled
+  quantized execution (``bits``-bit MX routing, 32-bit accumulation,
+  per-layer re-quantization), with per-layer error reports and
+  bit-width-aware cycle accounting.
 * :mod:`~repro.combining.serialization` — the versioned packed-artifact
   format (:func:`~repro.combining.serialization.save_packed` /
   :func:`~repro.combining.serialization.load_packed`): one ``.npz`` file

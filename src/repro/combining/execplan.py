@@ -25,9 +25,19 @@ that does not use the plan (``tests/test_combining_plan.py``):
   validation messages — of the module it replaces.
 * ``mode="mx"`` runs the MX-cell routing and matches that dense forward
   up to float summation order.
-* ``mode="quantized"`` runs each packed layer through
-  :meth:`~repro.systolic.system.SystolicSystem.run_layer` with the frozen
-  quantizers, bit-identical to doing so layer by layer on the nn model.
+* ``mode="quantized"`` runs each packed layer as **one exact integer
+  GEMM**: the input is quantized once with the frozen input quantizer,
+  multiplied by the layer's dense integer weights (the frozen weight
+  quantizer's integers, built once per op) in a single float64 matmul,
+  and dequantized by ``acc * (input_scale * weight_scale)``.  It is
+  **bit-identical** to running every packed layer of the nn model through
+  :meth:`~repro.systolic.system.SystolicSystem.run_layer`, the tiled
+  datapath model, with the same quantizers.  The reason: the operands are
+  integer-valued float64 with ``|w|, |x| <= 2^(bits-1)``, so while
+  ``2^(2*bits-2) * in_channels < 2^53`` (checked when the plan is built)
+  every partial sum is an exact integer, and any summation order — tiled
+  or not, batched or not — gives the same bits.  Quantized packed layers
+  are therefore batch-invariant with or without ``batch_invariant``.
 
 ``batch_invariant=True`` swaps every weight-bearing op for the
 batch-invariant kernels of :mod:`repro.combining.kernels`, so a sample's
@@ -49,6 +59,7 @@ Usage::
 
 from __future__ import annotations
 
+import functools
 from time import perf_counter_ns
 from typing import Any, Callable, Sequence
 
@@ -79,6 +90,8 @@ from repro.nn.module import Module, Sequential
 from repro.quant.linear import LinearQuantizer
 from repro.systolic.array import ArrayConfig
 from repro.systolic.system import ModelExecutionPlan, SystolicSystem
+from repro.systolic.tiles import TileGeometry, pipelined_cycles, tile_geometry
+from repro.systolic.timing import CellTiming
 
 #: Forward modes an :class:`ExecutionPlan` can support — the one
 #: declaration every mode check derives from.  ``"quantized"`` (last)
@@ -92,8 +105,9 @@ class _Ctx:
     Holds the knobs every op dispatches on (``mode``,
     ``batch_invariant``), the optional
     per-layer :class:`_LayerTap`, and — for quantized plans — the
-    :class:`~repro.systolic.system.SystolicSystem` that runs the integer
-    packed layers.  One ``_Ctx`` is built per ``forward`` call, so
+    :class:`~repro.systolic.system.SystolicSystem` whose array
+    configuration sizes the integer layers' tile and cycle accounting.
+    One ``_Ctx`` is built per ``forward`` call, so
     concurrent forwards on one plan never share mutable state.
     """
 
@@ -112,8 +126,10 @@ class _LayerTap:
 
     :meth:`PackedLayerOp.apply` calls :meth:`record` once per layer and
     batch chunk with the layer's input, its output before (``raw``) and
-    after (``out``) the bias, the systolic run's ``info`` dict (quantized
-    mode; ``None`` otherwise) and the layer's wall time in integer
+    after (``out``) the bias, the ``info`` dict of a systolic run
+    (quantized mode: ``input_saturation``, ``num_tiles`` and ``cycles``,
+    as :meth:`~repro.systolic.system.SystolicSystem.run_layer` reports
+    them; ``None`` otherwise) and the layer's wall time in integer
     nanoseconds.  This base tap fills :meth:`ExecutionPlan.forward`'s
     ``observed`` spatial sizes and ``profile`` nanoseconds (exact
     accumulation across chunks and merges — see :mod:`repro.obs.metrics`);
@@ -178,6 +194,14 @@ def split_activation_batch(activations: np.ndarray,
             for start in range(0, total, batch_size)]
 
 
+@functools.lru_cache(maxsize=1024)
+def _layer_cycles(tiles: tuple[TileGeometry, ...], words: int,
+                  timing: CellTiming) -> int:
+    """Cycles of one packed layer streaming ``words`` data words (cached:
+    a served layer sees a handful of batch sizes)."""
+    return pipelined_cycles([tile.execution(words, timing) for tile in tiles])
+
+
 # -- ops ----------------------------------------------------------------------
 class SequenceOp:
     """Run child ops in order (the plan twin of :class:`Sequential`)."""
@@ -214,8 +238,10 @@ class PackedLayerOp:
     quantized plans — the layer's frozen quantizer pair.  The dense
     realization for exact mode starts as the compiled spec's cached
     :meth:`~repro.combining.inference.PackedLayerSpec.realized` (plans
-    loaded from artifacts realize lazily); the benign race of two threads
-    realizing concurrently produces identical arrays.
+    loaded from artifacts realize lazily); quantized mode's integer
+    realization (:meth:`integer_realized`) is always built lazily, once.
+    The benign race of two threads realizing concurrently produces
+    identical arrays.
     """
 
     def __init__(self, name: str, packed: PackedFilterMatrix,
@@ -229,6 +255,7 @@ class PackedLayerOp:
         self.input_quantizer = input_quantizer
         self.weight_quantizer = weight_quantizer
         self._realized: np.ndarray | None = None
+        self._integer: tuple[np.ndarray, tuple[TileGeometry, ...]] | None = None
 
     def realized(self) -> np.ndarray:
         dense = self._realized
@@ -238,6 +265,68 @@ class PackedLayerOp:
             self._realized = dense
         return dense
 
+    def integer_realized(self, config: ArrayConfig
+                         ) -> tuple[np.ndarray, tuple[TileGeometry, ...]]:
+        """Quantized mode's frozen layer: ``(dense_int, tiles)``.
+
+        ``dense_int`` holds the frozen weight quantizer's integers (as
+        float64) scattered into the (N, M) filter matrix the way
+        :meth:`~repro.combining.packing.PackedFilterMatrix.to_sparse`
+        scatters the float weights; ``tiles`` is the integer packed
+        matrix's tile geometry on ``config``'s array, the source of the
+        per-call tile and cycle accounting.  An op belongs to one plan,
+        so ``config`` is always that plan's array and the first call's
+        result is kept.
+        """
+        integer = self._integer
+        if integer is None:
+            packed = self.packed
+            assert self.weight_quantizer is not None
+            packed_int = PackedFilterMatrix(
+                weights=self.weight_quantizer.quantize(
+                    packed.weights).astype(np.float64),
+                channel_index=packed.channel_index,
+                grouping=packed.grouping,
+                original_shape=packed.original_shape)
+            dense_int = packed_int.to_sparse()
+            dense_int.setflags(write=False)
+            integer = (dense_int, tile_geometry(packed_int.weights, config))
+            self._integer = integer
+        return integer
+
+    def check_quantized(self, config: ArrayConfig) -> None:
+        """Raise ``ValueError`` naming this layer unless quantized mode
+        can run it on ``config``'s array, exactly.
+
+        The quantizers must match the cells' bit width and the packing
+        the MX multiplexing degree (the checks
+        :meth:`~repro.systolic.system.SystolicSystem.run_layer` makes per
+        call).  Exactness: with ``|w|, |x| <= 2^(bits-1)`` every partial
+        sum of the integer GEMM stays below ``2^(2*bits-2) * in_channels``,
+        and float64 holds every integer below ``2^53``.
+        """
+        for role, quantizer in (("input", self.input_quantizer),
+                                ("weight", self.weight_quantizer)):
+            if quantizer is None:
+                raise ValueError(
+                    f"layer {self.name!r} has no frozen {role} quantizer")
+            if quantizer.bits != config.input_bits:
+                raise ValueError(
+                    f"layer {self.name!r}: {role} quantizer is "
+                    f"{quantizer.bits}-bit but the array's cells are "
+                    f"{config.input_bits}-bit")
+        degree = self.packed.multiplexing_degree()
+        if degree > config.alpha:
+            raise ValueError(
+                f"layer {self.name!r}: packing multiplexes {degree} channels "
+                f"per cell, beyond the array's MX degree {config.alpha}")
+        exponent = self.input_quantizer.bits + self.weight_quantizer.bits - 2
+        if 2 ** exponent * self.in_channels >= 2 ** 53:
+            raise ValueError(
+                f"layer {self.name!r}: sums of {self.in_channels} products "
+                f"of magnitude up to 2^{exponent} can leave float64's exact "
+                "integer range (below 2^53)")
+
     def apply(self, x: np.ndarray, ctx: _Ctx) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(
@@ -246,13 +335,7 @@ class PackedLayerOp:
         started = perf_counter_ns()
         info = None
         if ctx.mode == "quantized":
-            assert ctx.system is not None
-            # The plan's shift op already moved the pixels (bit-exact with
-            # the hardware ShiftBlock); the systolic run starts at quantizing.
-            raw, info = ctx.system.run_layer(
-                self.packed, x, apply_shift=False, apply_relu=False,
-                input_quantizer=self.input_quantizer,
-                weight_quantizer=self.weight_quantizer)
+            raw, info = self._apply_integer(x, ctx)
         elif ctx.mode == "mx":
             raw = self.packed.multiply_activations(x)
         elif ctx.batch_invariant:
@@ -264,9 +347,37 @@ class PackedLayerOp:
             ctx.tap.record(self, x, raw, out, info, perf_counter_ns() - started)
         return out
 
+    def _apply_integer(self, x: np.ndarray, ctx: _Ctx
+                       ) -> tuple[np.ndarray, dict | None]:
+        """Quantized mode: one exact integer GEMM (see the module docstring).
+
+        The plan's shift op already moved the pixels (bit-exact with the
+        hardware ShiftBlock); the layer starts at quantizing.  ``info``
+        carries what a tap reads of a systolic run — input saturation,
+        tiles and cycles — and is ``None`` for untapped forwards.
+        """
+        assert ctx.system is not None and self.input_quantizer is not None
+        assert self.weight_quantizer is not None
+        config = ctx.system.config
+        dense_int, tiles = self.integer_realized(config)
+        batch, channels, height, width = x.shape
+        data = x.transpose(1, 0, 2, 3).reshape(channels, -1)
+        data_int, saturation = self.input_quantizer.quantize_with_saturation(data)
+        acc = dense_int @ data_int.astype(np.float64)
+        acc *= self.input_quantizer.scale * self.weight_quantizer.scale
+        raw = acc.reshape(-1, batch, height, width).transpose(1, 0, 2, 3)
+        if ctx.tap is None:
+            return raw, None
+        info = {"input_saturation": saturation,
+                "num_tiles": len(tiles),
+                "cycles": _layer_cycles(tiles, data.shape[1], config.timing)}
+        return raw, info
+
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state["_realized"] = None  # re-realized lazily after unpickling
+        # Both realizations are rebuilt lazily after unpickling.
+        state["_realized"] = None
+        state["_integer"] = None
         return state
 
 
@@ -445,12 +556,16 @@ class ExecutionPlan:
 
     Treat instances as read-only: every array is a private copy (or a
     read-only artifact view) and nothing in :meth:`forward` writes
-    instance state, which is what makes one plan safe to share across
-    threads and cheap to ship to worker processes.  ``bits`` is set for
-    quantized-capable plans; they carry a
-    :class:`~repro.systolic.system.SystolicSystem` configured like the
+    instance state (beyond filling the ops' lazy realization caches),
+    which is what makes one plan safe to share across threads and cheap
+    to ship to worker processes.  ``bits`` is set for quantized-capable
+    plans; they carry a :class:`~repro.systolic.system.SystolicSystem`
+    configured like the
     :class:`~repro.combining.quantized.QuantizedPackedModel` they came
     from, so quantized outputs and cycle accounting match it exactly.
+    Building one checks every packed layer's quantizers against that
+    configuration (:meth:`PackedLayerOp.check_quantized`), so a plan that
+    builds runs every quantized layer exactly.
     """
 
     def __init__(self, root: Any, packed_ops: Sequence[PackedLayerOp],
@@ -472,6 +587,9 @@ class ExecutionPlan:
         self.array_config = array_config
         self.system = (SystolicSystem(array_config) if bits is not None
                        else None)
+        if bits is not None:
+            for op in self.packed_ops:
+                op.check_quantized(array_config)
 
     # -- introspection -------------------------------------------------------
     @property

@@ -2,9 +2,9 @@
 
 :class:`~repro.combining.inference.PackedModel` runs batched forwards on
 the float nn path; :class:`QuantizedPackedModel` is the serving-path
-counterpart that executes every packed layer the way the hardware of
-Figure 6 / Figure 12 does — through
-:meth:`repro.systolic.system.SystolicSystem.run_layer`'s quantized
+counterpart that computes every packed layer with the integer arithmetic
+of the hardware of Figure 6 / Figure 12, bit-identical to
+:meth:`repro.systolic.system.SystolicSystem.run_layer`'s tiled quantized
 execution:
 
 * **Calibration** — :meth:`QuantizedPackedModel.calibrate` runs one float
@@ -20,10 +20,12 @@ execution:
 * **Batched integer forwards** — :meth:`QuantizedPackedModel.forward`
   compiles a quantized :class:`~repro.combining.execplan.ExecutionPlan`
   from the frozen scales and runs the whole network on it, with every
-  packed layer computed as the array would: ``bits``-bit quantized
-  activations and weights routed through the MX cells of the tiled
-  packed array, 32-bit integer accumulation, and dequantization by the
-  product of the frozen scales.  The spatial
+  packed layer computing what the array computes: ``bits``-bit quantized
+  activations and weights, exact integer accumulation, and
+  dequantization by the product of the frozen scales.  The plan runs
+  each layer as one integer GEMM over weights quantized once, not the
+  array's tile-by-tile MX routing; integer sums are exact in float64, so
+  the bits are the same (see :mod:`repro.combining.execplan`).  The spatial
   shift runs inside the model's own shift layers (bit-exact with
   :class:`~repro.systolic.blocks.ShiftBlock`); ReLU and the 8-bit
   re-quantization feeding the next packed layer happen in the plan's
@@ -122,8 +124,9 @@ class QuantizedLayerReport:
 class _LayerStats:
     """Accumulates one layer's statistics across the chunks of a forward.
 
-    Execution accounting (tiles, cycles, saturation) comes free with every
-    chunk; the error terms (divergence vs the exact shadow computation,
+    Execution accounting (tiles, cycles, saturation) comes with every
+    chunk, from the layer's tile geometry and its input quantization;
+    the error terms (divergence vs the exact shadow computation,
     input quantization RMSE) are only accumulated when the forward tracks
     them — untracked forwards report them as NaN.
     """
@@ -228,8 +231,9 @@ class QuantizedPackedModel:
     """A :class:`PackedModel` executed with the hardware's integer arithmetic.
 
     Wraps a model-backed :class:`PackedModel` and runs its packed layers
-    through a :class:`~repro.systolic.system.SystolicSystem` configured
-    for ``bits``-bit cells (2-8; the paper's arrays are 8-bit).  Assemble
+    with the integer arithmetic of a
+    :class:`~repro.systolic.system.SystolicSystem` configured for
+    ``bits``-bit cells (2-8; the paper's arrays are 8-bit).  Assemble
     with :meth:`from_model` / :meth:`from_pipeline_result` (mirroring
     :class:`PackedModel`), or wrap an existing packed model directly.
     :meth:`calibrate` must run before :meth:`forward`.
@@ -365,21 +369,25 @@ class QuantizedPackedModel:
 
         Mirrors :meth:`PackedModel.forward`'s batching contract
         (``batch_size`` chunks the batch; every layer is per-sample in
-        eval mode).  Each packed layer executes on the systolic system
-        with the frozen calibration; per-layer statistics for
-        :meth:`layer_report` are (re)collected over the whole call.
+        eval mode).  Each packed layer runs as one exact integer GEMM
+        with the frozen calibration, bit-identical to
+        :meth:`~repro.systolic.system.SystolicSystem.run_layer`; per-layer
+        statistics for :meth:`layer_report` are (re)collected over the
+        whole call, tiles and cycles from each layer's tile geometry.
         ``track_errors=False`` skips the exact shadow computation and the
         input-roundtrip pass behind the divergence / input-RMSE columns —
-        roughly halving the per-layer cost when only the outputs matter
-        (:meth:`predict` uses this) — leaving those columns NaN while
-        tiles / cycles / saturation are still collected.  With
+        on a 16-sample batch of the 12x12 resnet20 that perfbench serves
+        (one BLAS thread, 2-core x86 host) that cut the whole forward from
+        18.0 to 10.9 ms — when only the outputs matter (:meth:`predict`
+        uses this), leaving those columns NaN while tiles / cycles /
+        saturation are still collected.  With
         ``capture_layer_outputs`` the per-layer quantized outputs are kept
         for :meth:`layer_outputs` — the differential tests' hook.
         The quantized outputs themselves are bit-identical however the
         accounting knobs are set.  ``batch_invariant=True`` is the serving
         numerics (see :meth:`PackedModel.forward`): the packed integer
-        execution is already batch-invariant by construction (frozen
-        scales make its sums exact), so the flag switches the surrounding
+        execution is already batch-invariant by construction (its sums
+        are exact integers), so the flag switches the surrounding
         float ops (classifier heads) to their batch-invariant twins (see
         :mod:`repro.combining.kernels`), making the whole chain
         bit-identical per sample under any request coalescing.

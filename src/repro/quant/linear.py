@@ -95,15 +95,18 @@ class LinearQuantizer:
 
         Counts the clipped values on the rounded integers the quantization
         itself computes, so callers that need both (the systolic execution
-        path) do not pay a second full round over the data.
+        path) do not pay a second full round over the data.  The
+        intermediate passes run in place on one float buffer.
         """
         tensor = np.asarray(tensor, dtype=np.float64)
         if tensor.size == 0:
             return np.zeros(tensor.shape, dtype=np.int64), 0.0
-        q = np.round(tensor / self.scale)
-        clipped = np.count_nonzero((q < self.qmin) | (q > self.qmax))
-        quantized = np.clip(q, self.qmin, self.qmax).astype(np.int64)
-        return quantized, float(clipped / tensor.size)
+        q = np.divide(tensor, self.scale, out=np.empty_like(tensor))
+        np.round(q, out=q)
+        clipped = (np.count_nonzero(q < self.qmin)
+                   + np.count_nonzero(q > self.qmax))
+        np.clip(q, self.qmin, self.qmax, out=q)
+        return q.astype(np.int64), float(clipped / tensor.size)
 
     def dequantize(self, quantized: np.ndarray) -> np.ndarray:
         """Map integers back to floats."""

@@ -10,8 +10,13 @@ Two levels of fidelity are provided:
   computation exactly as the hardware would: shift block, 8-bit quantized
   inputs and weights, integer matrix multiplication through the (tiled,
   packed) array, 32-bit accumulation, ReLU, and 8-bit re-quantization.
-  Tests use this path to show that packed integer execution matches the
-  pruned floating-point layer up to quantization error.
+  It is the paper's datapath model and the independent oracle for
+  quantized inference, not the serving path: quantized execution plans
+  (:class:`~repro.combining.execplan.ExecutionPlan`) run each packed
+  layer as one exact integer GEMM over weights quantized once per plan,
+  and the tests pin those plans to this method bit for bit.  Tests also
+  use it to show that packed integer execution matches the pruned
+  floating-point layer up to quantization error.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from repro.combining.packing import PackedFilterMatrix
 from repro.quant.linear import LinearQuantizer
 from repro.systolic.array import ArrayConfig
 from repro.systolic.blocks import ReluQuantBlock, ShiftBlock
-from repro.systolic.tiles import TiledMatmul
-from repro.systolic.timing import cycles_for_tile, words_per_sample
+from repro.systolic.tiles import TiledMatmul, pipelined_cycles, tile_geometry
+from repro.systolic.timing import words_per_sample
 
 
 @dataclass
@@ -91,36 +96,21 @@ class SystolicSystem:
     def plan_layer(self, name: str, packed: PackedFilterMatrix, spatial_size: int,
                    batch: int = 1) -> LayerExecution:
         """Tile counts, cycles, and MAC counts for one packed layer."""
+        if packed.multiplexing_degree() > self.config.alpha:
+            raise ValueError("packing exceeds the array's MX multiplexing degree")
         words = words_per_sample(spatial_size, batch)
-        data = np.zeros((packed.original_shape[1], 1))
-        # Execute a single-word multiplication just to enumerate the tiles;
-        # the cycle model is then evaluated at the real word count.
-        result = self.tiled.multiply_packed(packed, data)
-        cycles = 0
-        useful = 0
-        occupied = 0
-        for index, tile in enumerate(result.tiles):
-            tile_rows = tile.row_end - tile.row_start
-            tile_cols = tile.col_end - tile.col_start
-            timing = cycles_for_tile(tile_rows, tile_cols, words, self.config.timing)
-            if index == 0:
-                cycles += timing.weight_load_cycles + timing.matmul_cycles
-            else:
-                cycles += max(timing.matmul_cycles, timing.weight_load_cycles)
-            # The dummy run used a single data word, so per-tile MAC counts
-            # scale linearly with the real word count.
-            useful += tile.useful_macs * words
-            occupied += tile.occupied_macs * words
+        executions = [tile.execution(words, self.config.timing)
+                      for tile in tile_geometry(packed.weights, self.config)]
         return LayerExecution(
             name=name,
             rows=packed.num_rows,
             packed_columns=packed.num_groups,
             original_columns=packed.original_shape[1],
             spatial_size=spatial_size,
-            num_tiles=result.num_tiles,
-            cycles=cycles,
-            useful_macs=useful,
-            occupied_macs=occupied,
+            num_tiles=len(executions),
+            cycles=pipelined_cycles(executions),
+            useful_macs=sum(e.useful_macs for e in executions),
+            occupied_macs=sum(e.occupied_macs for e in executions),
         )
 
     def plan_model(self, packed_layers: list[tuple[str, PackedFilterMatrix]],

@@ -12,12 +12,13 @@ Partial results of tiles that share output rows are accumulated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from repro.combining.packing import PackedFilterMatrix
 from repro.systolic.array import ArrayConfig, SystolicArray
-from repro.systolic.timing import cycles_for_tile
+from repro.systolic.timing import CellTiming, cycles_for_tile
 
 
 @dataclass
@@ -32,6 +33,70 @@ class TileExecution:
     weight_load_cycles: int
     useful_macs: int
     occupied_macs: int
+
+
+@dataclass(frozen=True)
+class TileGeometry:
+    """Where one tile sits in a filter matrix and how many weights it holds.
+
+    The data-independent half of a :class:`TileExecution`: a tile's
+    cycles and MACs follow from its shape, its nonzero count and the
+    number of data words streamed through it (:meth:`execution`).
+    """
+
+    row_start: int
+    row_end: int
+    col_start: int
+    col_end: int
+    nonzeros: int
+
+    def execution(self, words: int, timing: CellTiming) -> TileExecution:
+        """This tile's record when it streams ``words`` data words."""
+        rows = self.row_end - self.row_start
+        cols = self.col_end - self.col_start
+        tile_timing = cycles_for_tile(rows, cols, words, timing)
+        return TileExecution(
+            row_start=self.row_start, row_end=self.row_end,
+            col_start=self.col_start, col_end=self.col_end,
+            matmul_cycles=tile_timing.matmul_cycles,
+            weight_load_cycles=tile_timing.weight_load_cycles,
+            useful_macs=self.nonzeros * words,
+            occupied_macs=rows * cols * words,
+        )
+
+
+def tile_geometry(weights: np.ndarray, config: ArrayConfig
+                  ) -> tuple[TileGeometry, ...]:
+    """Partition a (dense or packed) weight matrix into array-sized tiles.
+
+    Tiles come in :class:`TiledMatmul`'s execution order (row slices
+    outer, column slices inner), so accounting built on them matches a
+    tiled multiplication without running one.
+    """
+    num_rows, num_cols = weights.shape
+    return tuple(
+        TileGeometry(row_start, min(row_start + config.rows, num_rows),
+                     col_start, min(col_start + config.cols, num_cols),
+                     int(np.count_nonzero(
+                         weights[row_start:row_start + config.rows,
+                                 col_start:col_start + config.cols])))
+        for row_start in range(0, num_rows, config.rows)
+        for col_start in range(0, num_cols, config.cols))
+
+
+def pipelined_cycles(executions: Sequence[TileExecution]) -> int:
+    """Total cycles of tiles run back to back with overlapped weight loads.
+
+    The first tile's weight load is exposed; afterwards loading the next
+    tile overlaps with the current tile's multiplication (Figure 14a), so
+    each subsequent tile costs ``max(matmul, weight_load)`` cycles.
+    """
+    if not executions:
+        return 0
+    total = executions[0].weight_load_cycles + executions[0].matmul_cycles
+    for execution in executions[1:]:
+        total += max(execution.matmul_cycles, execution.weight_load_cycles)
+    return total
 
 
 @dataclass
@@ -114,33 +179,16 @@ class TiledMatmul:
     # -- shared bookkeeping --------------------------------------------------------
     def _tile_record(self, tile_weights: np.ndarray, words: int, row_start: int,
                      row_end: int, col_start: int, col_end: int) -> TileExecution:
-        rows = row_end - row_start
-        cols = col_end - col_start
-        timing = cycles_for_tile(rows, cols, words, self.config.timing)
-        return TileExecution(
-            row_start=row_start, row_end=row_end, col_start=col_start, col_end=col_end,
-            matmul_cycles=timing.matmul_cycles,
-            weight_load_cycles=timing.weight_load_cycles,
-            useful_macs=int(np.count_nonzero(tile_weights)) * words,
-            occupied_macs=int(tile_weights.size) * words,
-        )
+        geometry = TileGeometry(row_start, row_end, col_start, col_end,
+                                int(np.count_nonzero(tile_weights)))
+        return geometry.execution(words, self.config.timing)
 
     def _aggregate(self, output: np.ndarray, executions: list[TileExecution]
                    ) -> TiledMatmulResult:
-        if not executions:
-            return TiledMatmulResult(output=output, num_tiles=0, total_cycles=0,
-                                     useful_macs=0, occupied_macs=0, tiles=[])
-        # The first tile's weight load is exposed; afterwards loading the
-        # next tile overlaps with the current tile's multiplication
-        # (Figure 14a), so each subsequent tile costs
-        # max(matmul, weight_load) cycles.
-        total = executions[0].weight_load_cycles + executions[0].matmul_cycles
-        for execution in executions[1:]:
-            total += max(execution.matmul_cycles, execution.weight_load_cycles)
         return TiledMatmulResult(
             output=output,
             num_tiles=len(executions),
-            total_cycles=total,
+            total_cycles=pipelined_cycles(executions),
             useful_macs=sum(e.useful_macs for e in executions),
             occupied_macs=sum(e.occupied_macs for e in executions),
             tiles=executions,

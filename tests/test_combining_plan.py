@@ -11,7 +11,8 @@ packed layer are pinned against oracles that never touch a plan:
   per sample however the batch is split;
 * quantized mode is bit-identical to running every packed layer of a
   deep-copied nn model through ``SystolicSystem.run_layer`` with the
-  frozen quantizers.
+  frozen quantizers, and so is its tile / cycle / saturation accounting;
+  the plan itself never calls ``run_layer`` or the tiled multiply.
 
 The parametrized ``test_plan_matches_legacy_*`` tests keep their
 historical names; they check the dense oracle.  Compiling / running a plan
@@ -37,12 +38,21 @@ from repro.combining import (
     PipelineConfig,
     QuantizedPackedModel,
     compile_plan,
+    group_columns,
     load_plan,
+    pack_filter_matrix,
     save_packed,
 )
+from repro.combining.execplan import PackedLayerOp
+from repro.combining.kernels import invariant_matmul
 from repro.experiments.workloads import sparse_network
 from repro.models import build_model
+from repro.nn.layers import Dense
+from repro.quant.linear import LinearQuantizer
+from repro.serving.registry import ResidentModel
+from repro.systolic.array import ArrayConfig
 from repro.systolic.system import SystolicSystem
+from repro.systolic.tiles import TiledMatmul
 
 ENGINE_COMBOS = [(grouping, prune)
                  for grouping in GROUPING_ENGINES for prune in PRUNE_ENGINES]
@@ -99,25 +109,63 @@ def dense_reference(packed: PackedModel, images: np.ndarray) -> np.ndarray:
 
 
 def quantized_reference(quantized: QuantizedPackedModel,
-                        images: np.ndarray) -> np.ndarray:
+                        images: np.ndarray,
+                        infos: dict[str, list] | None = None,
+                        invariant_head: bool = False) -> np.ndarray:
     """Every packed layer of a deep-copied nn model run through
-    ``SystolicSystem.run_layer`` with its frozen quantizers."""
+    ``SystolicSystem.run_layer`` with its frozen quantizers.
+
+    ``infos`` collects each layer call's ``(input size, run_layer info)``;
+    ``invariant_head`` runs the Dense layers through the batch-invariant
+    matmul, the numerics of a ``batch_invariant=True`` forward.
+    """
     reference = copy.deepcopy(quantized.packed.model)
     system = SystolicSystem(quantized.system.config)
-    for (_, layer), spec, calibration in zip(
+    for (name, layer), spec, calibration in zip(
             reference.packable_layers(), quantized.packed.specs,
             quantized.layer_calibrations()):
-        def forward(x, layer=layer, packed=spec.packed,
+        def forward(x, name=name, layer=layer, packed=spec.packed,
                     calibration=calibration):
-            out, _ = system.run_layer(
+            out, info = system.run_layer(
                 packed, x, apply_shift=False, apply_relu=False,
                 input_quantizer=calibration.input_quantizer,
                 weight_quantizer=calibration.weight_quantizer)
+            if infos is not None:
+                infos.setdefault(name, []).append((x.size, info))
             if layer.bias is not None:
                 out = out + layer.bias.data[None, :, None, None]
             return out
         layer.forward = forward
+    if invariant_head:
+        for module in reference.modules():
+            if isinstance(module, Dense):
+                def dense(x, module=module):
+                    out = invariant_matmul(x, module.weight.data)
+                    return out if module.bias is None else out + module.bias.data
+                module.forward = dense
     return reference.eval().forward(images)
+
+
+def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Equal shapes, dtypes and bytes (signed zeros and NaN payloads too)."""
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert (np.ascontiguousarray(actual).tobytes()
+            == np.ascontiguousarray(expected).tobytes())
+
+
+def build_quantized(name: str, bits: int,
+                    array: tuple[int, int] | None = None
+                    ) -> QuantizedPackedModel:
+    packed = build_packed(name)
+    array_config = None
+    if array is not None:
+        array_config = ArrayConfig(rows=array[0], cols=array[1],
+                                   input_bits=bits,
+                                   alpha=max(1, packed.multiplexing_degree()))
+    quantized = QuantizedPackedModel(packed, bits=bits,
+                                     array_config=array_config)
+    # Calibrating on damped inputs makes the test inputs saturate.
+    return quantized.calibrate(0.5 * images_for(name, count=16))
 
 
 def assert_per_sample_invariant(plan: ExecutionPlan, images: np.ndarray,
@@ -160,17 +208,103 @@ def test_plan_matches_legacy_across_engines(grouping_engine, prune_engine):
     assert_plan_matches_dense_oracle(packed, images_for("lenet5"))
 
 
-def test_quantized_plan_matches_run_layer_oracle(quantized_lenet5):
+#: (model, bits, array) cases of the quantized oracle; the 8x8 array splits
+#: lenet5's layers into several tiles, so partial sums cross tiles.
+QUANTIZED_CASES = [
+    pytest.param(name, bits, None, id=f"{name}-{bits}bit")
+    for name in MODELS for bits in (2, 4, 8)
+] + [pytest.param("lenet5", 8, (8, 8), id="lenet5-8bit-8x8")]
+
+
+@pytest.mark.parametrize("name,bits,array", QUANTIZED_CASES)
+def test_quantized_plan_matches_run_layer_oracle(name, bits, array):
+    quantized = build_quantized(name, bits, array)
+    images = images_for(name)
+    plan = quantized.compile_plan()
+    assert plan.bits == bits
+    assert "quantized" in plan.modes
+    if array is not None:
+        assert any(len(op.integer_realized(plan.array_config)[1]) > 1
+                   for op in plan.packed_ops)
+    infos: dict[str, list] = {}
+    expected = quantized_reference(quantized, images, infos=infos)
+    assert_same_bits(plan.forward(images, mode="quantized"), expected)
+    assert_same_bits(quantized.forward(images), expected)
+    assert_same_bits(
+        assert_per_sample_invariant(plan, images, "quantized"),
+        quantized_reference(quantized, images, invariant_head=True))
+    assert_report_matches_run_layer(quantized, infos)
+
+    chunked: dict[str, list] = {}
+    expected = np.concatenate([
+        quantized_reference(quantized, images[start:start + 2], infos=chunked)
+        for start in range(0, len(images), 2)])
+    assert_same_bits(quantized.forward(images, batch_size=2), expected)
+    assert_report_matches_run_layer(quantized, chunked)
+
+
+def assert_report_matches_run_layer(quantized: QuantizedPackedModel,
+                                    infos: dict[str, list]) -> None:
+    """``layer_report()`` after the last forward equals the accounting a
+    ``run_layer`` loop over the same calls gives."""
+    reports = quantized.layer_report()
+    assert any(report.input_saturation > 0 for report in reports)
+    for report in reports:
+        calls = infos[report.name]
+        assert report.num_tiles == sum(info["num_tiles"] for _, info in calls)
+        assert report.cycles == sum(info["cycles"] for _, info in calls)
+        saturated = 0.0
+        for size, info in calls:
+            saturated += info["input_saturation"] * size
+        assert report.input_saturation == saturated / sum(
+            size for size, _ in calls)
+
+
+def test_quantized_forward_never_runs_the_datapath_model(monkeypatch,
+                                                         quantized_lenet5):
+    """Quantized plans run their own integer GEMM: with the tiled multiply
+    and ``run_layer`` raising, plan forwards and the serving executor
+    still return the oracle's bits."""
+    images = images_for("lenet5")
+    expected = quantized_reference(quantized_lenet5, images)
+    expected_served = quantized_reference(quantized_lenet5, images,
+                                          invariant_head=True)
+    plan = quantized_lenet5.compile_plan()
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("quantized forward ran the datapath model")
+    monkeypatch.setattr(TiledMatmul, "multiply_packed", unreachable)
+    monkeypatch.setattr(SystolicSystem, "run_layer", unreachable)
+
+    assert_same_bits(plan.forward(images, mode="quantized"), expected)
+    assert_same_bits(quantized_lenet5.forward(images), expected)
+    resident = ResidentModel("lenet5", "quantized", plan)
+    served, cycles, tiles, _, _ = resident.serve_batch(images)
+    assert_same_bits(served, expected_served)
+    assert cycles > 0 and tiles > 0
+
+
+def test_quantized_weights_are_frozen_after_the_first_forward(
+        monkeypatch, quantized_lenet5):
     images = images_for("lenet5")
     plan = quantized_lenet5.compile_plan()
-    assert plan.bits == 8
-    assert "quantized" in plan.modes
-    expected = quantized_reference(quantized_lenet5, images)
-    assert np.array_equal(plan.forward(images, mode="quantized"), expected)
-    assert np.array_equal(quantized_lenet5.forward(images), expected)
-    np.testing.assert_allclose(
-        assert_per_sample_invariant(plan, images, "quantized"), expected,
-        rtol=1e-10, atol=1e-12)
+    first = plan.forward(images, mode="quantized")
+    weight_quantizers = {id(op.weight_quantizer) for op in plan.packed_ops}
+    calls: list[int] = []
+    for method in ("quantize", "quantize_with_saturation"):
+        original = getattr(LinearQuantizer, method)
+
+        def spy(self, tensor, original=original):
+            calls.append(id(self))
+            return original(self, tensor)
+        monkeypatch.setattr(LinearQuantizer, method, spy)
+    assert_same_bits(plan.forward(images, mode="quantized"), first)
+    assert calls, "the input quantizers run on every forward"
+    assert weight_quantizers.isdisjoint(calls)
+
+    clone = pickle.loads(pickle.dumps(plan))
+    assert all(op._integer is None for op in clone.packed_ops)
+    assert_same_bits(clone.forward(images, mode="quantized"), first)
 
 
 def test_plan_predict_matches_dense_oracle(packed_lenet5):
@@ -276,6 +410,47 @@ def test_float_plan_rejects_quantized_mode(packed_lenet5):
         plan.forward(images_for("lenet5"), mode="quantized")
     with pytest.raises(ValueError, match="unknown forward mode"):
         plan.forward(images_for("lenet5"), mode="warp")
+
+
+def tiny_quantized_op(bits: int) -> PackedLayerOp:
+    """A 2x2 packed layer (two input channels) with ``bits``-bit quantizers."""
+    matrix = np.array([[1.0, 0.0], [0.0, -1.0]])
+    packed = pack_filter_matrix(matrix, group_columns(matrix, alpha=2,
+                                                      gamma=0.5))
+    return PackedLayerOp("tiny", packed, bias=None, in_channels=2,
+                         input_quantizer=LinearQuantizer(bits=bits),
+                         weight_quantizer=LinearQuantizer(bits=bits))
+
+
+def test_quantized_plan_rejects_sums_beyond_exact_float64():
+    """2^26 * 2^26 products over 2 channels reach 2^53: not exact."""
+    op = tiny_quantized_op(27)
+    with pytest.raises(ValueError, match="'tiny'.*2\\^53"):
+        ExecutionPlan(root=op, packed_ops=[op], kind="quantized",
+                      array_rows=8, array_cols=8, bits=27)
+    op = tiny_quantized_op(26)
+    plan = ExecutionPlan(root=op, packed_ops=[op], kind="quantized",
+                         array_rows=8, array_cols=8, bits=26)
+    assert plan.forward(np.ones((1, 2, 1, 1)), mode="quantized").shape == (
+        1, 2, 1, 1)
+
+
+def test_compile_checks_quantizer_preconditions(quantized_lenet5):
+    """Bit width and MX degree are checked once, when the plan is built."""
+    packed = quantized_lenet5.packed
+    name = packed.specs[0].name
+    quantizers = {calibration.name: (calibration.input_quantizer,
+                                     calibration.weight_quantizer)
+                  for calibration in quantized_lenet5.layer_calibrations()}
+    with pytest.raises(ValueError, match=f"{name!r}.*8-bit but the array"):
+        compile_plan(packed, quantizers=quantizers, bits=8,
+                     array_config=ArrayConfig(input_bits=6, alpha=8))
+    degree = packed.multiplexing_degree()
+    assert degree > 1
+    with pytest.raises(ValueError, match="MX degree"):
+        compile_plan(packed, quantizers=quantizers, bits=8,
+                     array_config=ArrayConfig(input_bits=8,
+                                              alpha=degree - 1))
 
 
 # -- artifacts straight to plans ---------------------------------------------

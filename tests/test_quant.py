@@ -148,9 +148,13 @@ def test_saturation_rate_counts_clipped_values():
 def test_quantize_with_saturation_matches_the_two_call_form(rng):
     quantizer = LinearQuantizer(bits=6, scale=0.05)
     tensor = rng.normal(size=(13, 7)) * 3.0
-    quantized, rate = quantizer.quantize_with_saturation(tensor)
-    np.testing.assert_array_equal(quantized, quantizer.quantize(tensor))
-    assert rate == pytest.approx(quantizer.saturation_rate(tensor))
+    # A matrix, a strided view of it, and scalars inside and beyond range.
+    for value in (tensor, tensor.T, 1.0, 9.0):
+        quantized, rate = quantizer.quantize_with_saturation(value)
+        np.testing.assert_array_equal(quantized, quantizer.quantize(value))
+        rounded = np.round(np.asarray(value) / quantizer.scale)
+        outside = (rounded < quantizer.qmin) | (rounded > quantizer.qmax)
+        assert rate == np.count_nonzero(outside) / outside.size
     empty, empty_rate = quantizer.quantize_with_saturation(np.zeros((0, 4)))
     assert empty.shape == (0, 4) and empty_rate == 0.0
 

@@ -28,6 +28,28 @@ def test_plan_layer_reports_tiles_cycles_and_macs(rng):
     assert execution.occupied_macs == packed.weights.size * 256
 
 
+@pytest.mark.parametrize("array", [(32, 32), (8, 8)])
+def test_plan_layer_matches_a_tiled_multiply_at_the_real_word_count(rng, array):
+    """Planning reads tile geometry; a tiled multiply over as many words
+    as the layer streams gives the same tiles, cycles and MACs."""
+    _, packed = packed_layer(rng, rows=40, cols=30, density=0.2)
+    system = SystolicSystem(ArrayConfig(rows=array[0], cols=array[1], alpha=8))
+    execution = system.plan_layer("layer", packed, spatial_size=3, batch=2)
+    result = system.tiled.multiply_packed(packed, np.zeros((30, 18)))
+    assert execution.num_tiles == result.num_tiles
+    assert execution.cycles == result.total_cycles
+    assert execution.useful_macs == result.useful_macs
+    assert execution.occupied_macs == result.occupied_macs
+
+
+def test_plan_layer_checks_the_multiplexing_degree(rng):
+    _, packed = packed_layer(rng, rows=40, cols=30, density=0.2)
+    assert packed.multiplexing_degree() > 1
+    system = SystolicSystem(ArrayConfig(rows=8, cols=8, alpha=1))
+    with pytest.raises(ValueError, match="multiplexing degree"):
+        system.plan_layer("layer", packed, spatial_size=3)
+
+
 def test_plan_model_totals_are_sums(rng):
     layers = [packed_layer(rng)[1] for _ in range(3)]
     system = SystolicSystem(ArrayConfig(rows=32, cols=32, alpha=8))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.combining import group_columns, column_combine_prune, pack_filter_matrix
 from repro.systolic import ArrayConfig, TiledMatmul
+from repro.systolic.tiles import pipelined_cycles, tile_geometry
 
 
 def sparse(rng, rows, cols, density=0.2):
@@ -103,3 +104,20 @@ def test_property_tiled_dense_matmul_is_exact(seed, rows, cols):
     np.testing.assert_allclose(result.output, matrix @ data, atol=1e-9)
     expected_tiles = -(-rows // 16) * (-(-cols // 16))
     assert result.num_tiles == expected_tiles
+
+
+@pytest.mark.parametrize("array", [(32, 32), (8, 8), (8, 5)])
+def test_tile_geometry_matches_tiled_execution(rng, array):
+    """The geometry helper lists exactly the tiles a packed multiply runs."""
+    matrix = sparse(rng, 40, 37, density=0.2)
+    packed = pack_filter_matrix(matrix, group_columns(matrix, alpha=8,
+                                                      gamma=0.5))
+    config = ArrayConfig(rows=array[0], cols=array[1], alpha=8)
+    for words in (0, 1, 7):
+        result = TiledMatmul(config).multiply_packed(
+            packed, rng.normal(size=(37, words)))
+        executions = [tile.execution(words, config.timing)
+                      for tile in tile_geometry(packed.weights, config)]
+        assert executions == result.tiles
+        assert pipelined_cycles(executions) == result.total_cycles
+    assert pipelined_cycles([]) == 0
