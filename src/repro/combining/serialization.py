@@ -47,15 +47,15 @@ have produced.
   :class:`~repro.combining.execplan.ExecutionPlan` straight from the
   arrays — no nn module graph, no ``build_model``.
 * Uncompressed V2 artifacts (``compress=False``) load **zero-copy** with
-  ``load_packed(path, mmap=True)`` / ``load_plan(path, mmap=True)``:
-  every array is an ``np.memmap`` view into the file, so N serving
-  worker processes share one resident copy of the packed arrays through
-  the page cache.  ``mmap="auto"`` falls back to a normal read for
-  compressed or V1 artifacts.
+  ``load_plan(path, mmap=True)``: every array is an ``np.memmap`` view
+  into the file, so N serving worker processes share one resident copy
+  of the packed arrays through the page cache.  ``mmap="auto"`` falls
+  back to a normal read for compressed artifacts.
 
-V1 artifacts remain fully readable (see ``SUPPORTED_FORMAT_VERSIONS``),
-and ``save_packed(..., format_version=1)`` still writes them for
-compatibility tooling.
+:func:`save_packed` writes V2 only.  V1 artifacts (one npz entry per nn
+parameter, no plan manifest) stay readable — see
+``SUPPORTED_FORMAT_VERSIONS`` — and :func:`load_plan` serves them by
+rebuilding the model from their ``model_spec``.
 
 Usage::
 
@@ -102,7 +102,8 @@ FORMAT_VERSION = 2
 
 #: Format versions :func:`load_packed` / :func:`load_plan` read.  V1 (one
 #: npz entry per nn parameter, no plan manifest) stays readable so
-#: existing artifacts keep serving; V2 is what :func:`save_packed` writes.
+#: existing artifacts keep serving; V2 is the only one :func:`save_packed`
+#: writes.
 SUPPORTED_FORMAT_VERSIONS: tuple[int, ...] = (1, 2)
 
 #: Artifact kinds: a float :class:`PackedModel` or its calibrated
@@ -283,8 +284,7 @@ def _slice_ref(blobs: dict[str, np.ndarray], ref: dict[str, Any],
 def save_packed(model: PackedModel | QuantizedPackedModel,
                 path: str | Path,
                 model_spec: dict[str, Any] | None = None,
-                compress: bool = True,
-                format_version: int | None = None) -> Path:
+                compress: bool = True) -> Path:
     """Persist a packed (or quantized packed) model as one ``.npz`` artifact.
 
     ``model_spec`` (optional, for model-backed packings) records how to
@@ -292,27 +292,19 @@ def save_packed(model: PackedModel | QuantizedPackedModel,
     ``{"name": <registry name>, "kwargs": {...}}`` for
     :func:`repro.models.build_model`; the parameter *values* are always
     persisted via :func:`repro.nn.serialization.state_dict`, so the spec
-    only has to reproduce the topology.  Without a spec, loading a
-    model-backed artifact requires passing the architecture to
-    :func:`load_packed` explicitly.
+    only has to reproduce the topology.  Without a spec,
+    :func:`load_plan` still serves the artifact from its plan manifest,
+    but :func:`load_packed` needs the architecture passed explicitly.
 
     ``compress=False`` trades file size for faster cold-start loads
     (zlib inflation is a visible share of load time for the full-size
-    workloads) — and, for V2 artifacts, enables zero-copy
-    ``load_packed(..., mmap=True)`` / ``load_plan(..., mmap=True)``;
-    the logical format is identical either way.
-
-    ``format_version`` defaults to the current :data:`FORMAT_VERSION`;
-    pass ``1`` to write the legacy layout (per-parameter state entries,
-    no plan manifest) for compatibility tooling.
+    workloads) and enables zero-copy ``load_plan(..., mmap=True)``; the
+    logical format is identical either way.  The artifact is always
+    written in the current format, :data:`FORMAT_VERSION`.
 
     A :class:`QuantizedPackedModel` must be calibrated — the artifact's
     job is to carry the frozen scales a server cold-starts with.
     """
-    version = FORMAT_VERSION if format_version is None else int(format_version)
-    if version not in SUPPORTED_FORMAT_VERSIONS:
-        raise ValueError(f"unknown packed-artifact format version {version!r};"
-                         f" expected one of {SUPPORTED_FORMAT_VERSIONS}")
     quantized: QuantizedPackedModel | None = None
     if isinstance(model, QuantizedPackedModel):
         quantized = model
@@ -371,27 +363,23 @@ def save_packed(model: PackedModel | QuantizedPackedModel,
     buffers_meta: dict[str, Any] | None = None
     plan_meta: dict[str, Any] | None = None
     if has_model_state:
-        if version == 1:
-            for name, array in state_dict(packed.model).items():
-                arrays[f"state.{name}"] = array
-        else:
-            blobs = _BlobWriter()
-            state_meta = {name: blobs.store(array)
-                          for name, array in state_dict(packed.model).items()}
-            # Non-parameter module state the state dict does not cover:
-            # batch-norm running statistics, addressed by module path.
-            buffers_meta = {}
-            for module_path, module in packed.model.named_modules():
-                if isinstance(module, BatchNorm2d):
-                    prefix = f"{module_path}." if module_path else ""
-                    buffers_meta[f"{prefix}running_mean"] = blobs.store(
-                        module.running_mean)
-                    buffers_meta[f"{prefix}running_var"] = blobs.store(
-                        module.running_var)
-            # The float op tree; quantizers rebuild from quant.* at load.
-            from repro.combining.execplan import manifest_from_plan
-            plan_meta = manifest_from_plan(packed.compile_plan(), blobs.store)
-            arrays.update(blobs.entries())
+        blobs = _BlobWriter()
+        state_meta = {name: blobs.store(array)
+                      for name, array in state_dict(packed.model).items()}
+        # Non-parameter module state the state dict does not cover:
+        # batch-norm running statistics, addressed by module path.
+        buffers_meta = {}
+        for module_path, module in packed.model.named_modules():
+            if isinstance(module, BatchNorm2d):
+                prefix = f"{module_path}." if module_path else ""
+                buffers_meta[f"{prefix}running_mean"] = blobs.store(
+                    module.running_mean)
+                buffers_meta[f"{prefix}running_var"] = blobs.store(
+                    module.running_var)
+        # The float op tree; quantizers rebuild from quant.* at load.
+        from repro.combining.execplan import manifest_from_plan
+        plan_meta = manifest_from_plan(packed.compile_plan(), blobs.store)
+        arrays.update(blobs.entries())
 
     quantized_meta: dict[str, Any] | None = None
     if quantized is not None:
@@ -411,7 +399,7 @@ def save_packed(model: PackedModel | QuantizedPackedModel,
         }
 
     meta = {
-        "format_version": version,
+        "format_version": FORMAT_VERSION,
         "kind": "quantized" if quantized is not None else "packed",
         "array_rows": packed.array_rows,
         "array_cols": packed.array_cols,
@@ -421,11 +409,10 @@ def save_packed(model: PackedModel | QuantizedPackedModel,
         "model_spec": model_spec,
         "has_model_state": has_model_state,
         "quantized": quantized_meta,
+        "state": state_meta,
+        "buffers": buffers_meta,
+        "plan": plan_meta,
     }
-    if version >= 2:
-        meta["state"] = state_meta
-        meta["buffers"] = buffers_meta
-        meta["plan"] = plan_meta
     # The whole-content digest goes into the metadata itself, so probing
     # it later (artifact_fingerprint) never has to touch the arrays.
     meta["fingerprint"] = _content_digest(arrays, meta)
@@ -850,33 +837,24 @@ def _assemble_model(raw: _RawArtifact, model: Module | None,
     return quantized
 
 
-def load_packed(path: str | Path, model: Module | None = None,
-                mmap: bool | str = False
+def load_packed(path: str | Path, model: Module | None = None
                 ) -> PackedModel | QuantizedPackedModel:
     """Load a packed artifact back into a forward-ready model.
 
     Returns a :class:`PackedModel` for ``"packed"`` artifacts and a
     calibrated :class:`QuantizedPackedModel` for ``"quantized"`` ones.
     The loaded model's forward is bit-identical to the model that was
-    saved — for any format version and any ``mmap`` setting.  ``model``
-    optionally supplies the nn architecture (parameter values are
-    overwritten from the artifact's state); when omitted, the artifact's
-    ``model_spec`` rebuilds it, and artifacts saved from matrix-only
-    packings load as matrix-only models (no forward).
-
-    ``mmap=True`` memory-maps every array read-only instead of copying
-    it into anonymous memory — concurrent loaders of one artifact then
-    share a single resident copy via the page cache.  It requires an
-    uncompressed artifact (``save_packed(..., compress=False)``) and
-    raises :class:`PackedArtifactError` otherwise; ``mmap="auto"`` falls
-    back to a normal read in that case.
+    saved, for any format version.  ``model`` optionally supplies the nn
+    architecture (parameter values are overwritten from the artifact's
+    state); when omitted, the artifact's ``model_spec`` rebuilds it, and
+    artifacts saved from matrix-only packings load as matrix-only models
+    (no forward).  Serving loads through :func:`load_plan` instead.
 
     Raises :class:`PackedArtifactError` on format-version mismatch,
     per-layer fingerprint mismatch, or structural corruption.
     """
     path = Path(path)
-    raw = _load_raw(path, mmap=mmap)
-    return _assemble_model(raw, model, path)
+    return _assemble_model(_load_raw(path), model, path)
 
 
 def _plan_from_artifact(raw: _RawArtifact, path: Path) -> Any:
@@ -954,31 +932,48 @@ def _plan_from_artifact(raw: _RawArtifact, path: Path) -> Any:
         bits=bits)
 
 
-def load_plan(path: str | Path, model: Module | None = None,
-              mmap: bool | str = False) -> Any:
-    """Load a packed artifact straight into an immutable :class:`ExecutionPlan`.
-
-    The serving cold-start path: V2 model-backed artifacts carry their
-    op tree as a manifest, so the plan assembles directly from the
-    stored arrays — no nn module graph is ever built, and with
-    ``mmap=True`` (or ``"auto"``) the arrays stay shared, read-only
-    views into the file.  V1 artifacts (or an explicit ``model``) fall
-    back to assembling the model as :func:`load_packed` does and
-    compiling it.  Either way the plan's forward is bit-identical to the
-    saved model's, quantized artifacts yielding quantized-capable plans.
-
-    Matrix-only artifacts raise :class:`PackedArtifactError` — with no nn
-    model state or plan there is nothing forward-capable to build.
-    """
-    path = Path(path)
-    raw = _load_raw(path, mmap=mmap)
-    manifest = raw.meta.get("plan")
-    if model is None and manifest is not None:
-        return _plan_from_artifact(raw, path)
-    if model is None and not raw.meta["has_model_state"]:
+def check_servable(meta: dict[str, Any], path: str | Path) -> None:
+    """Raise :class:`PackedArtifactError` unless :func:`load_plan` can
+    build a plan from an artifact with this metadata: that takes a plan
+    manifest (V2, model-backed) or a ``model_spec`` to rebuild the model
+    from (V1).  Metadata only, so registries refuse an unservable
+    artifact when it is registered rather than on its first request."""
+    if meta.get("plan") is not None or meta["model_spec"] is not None:
+        return
+    if not meta["has_model_state"]:
         raise PackedArtifactError(
             f"{path} holds a matrix-only packing with no nn model state or "
             "plan manifest; serving needs a forward-capable artifact (save "
             "it with model state)")
-    assembled = _assemble_model(raw, model, path)
-    return assembled.compile_plan()
+    raise PackedArtifactError(
+        f"{path} carries nn model state but neither a plan manifest nor a "
+        "model_spec, so no plan can be built from the file alone (re-save "
+        "it with the current save_packed)")
+
+
+def load_plan(path: str | Path, mmap: bool | str = False) -> Any:
+    """Load a packed artifact straight into an immutable :class:`ExecutionPlan`.
+
+    The serving cold-start path, from the file alone.  V2 model-backed
+    artifacts carry their op tree as a manifest, so the plan assembles
+    directly from the stored arrays — no nn module graph is ever built.
+    V1 artifacts rebuild the model from their ``model_spec`` as
+    :func:`load_packed` does and compile it.  Either way the plan's
+    forward is bit-identical to the saved model's, quantized artifacts
+    yielding quantized-capable plans.  Anything else (matrix-only
+    packings, V1 artifacts without a spec) raises
+    :class:`PackedArtifactError` — see :func:`check_servable`.
+
+    ``mmap=True`` memory-maps every array read-only instead of copying
+    it into anonymous memory, so concurrent loaders of one artifact
+    share a single resident copy via the page cache.  It requires an
+    uncompressed artifact (``save_packed(..., compress=False)``) and
+    raises :class:`PackedArtifactError` otherwise; ``mmap="auto"`` falls
+    back to a normal read in that case.
+    """
+    path = Path(path)
+    raw = _load_raw(path, mmap=mmap)
+    check_servable(raw.meta, path)
+    if raw.meta.get("plan") is not None:
+        return _plan_from_artifact(raw, path)
+    return _assemble_model(raw, None, path).compile_plan()

@@ -9,7 +9,9 @@ the resident packed model.  This package is that serving layer:
   (:mod:`repro.combining.serialization`) loaded lazily on first request,
   with LRU-bounded residency so a node can advertise more models than it
   keeps in memory.  Loads run under per-entry locks (a slow load never
-  blocks unrelated models) and resolve to immutable execution plans.
+  blocks unrelated models) and resolve to immutable execution plans,
+  built from each artifact's file alone; an artifact no plan can be
+  built from is refused when it is registered.
 * :mod:`~repro.serving.batcher` —
   :class:`~repro.serving.batcher.DynamicBatcher`: single-sample requests
   queue up and coalesce (up to ``max_batch`` samples or ``max_wait``
@@ -61,8 +63,8 @@ Immutable plans are also what make zero-downtime model updates trivial:
 off to the side (old plan keeps serving every in-flight and queued
 forward — no drain, no request-blocking lock) and atomically flips the
 resident entry once the new plan is ready; the next batch serves the
-new bits.  Compatibility (serving kind, per-layer shape skeleton) is
-verified against :func:`~repro.combining.serialization.artifact_info`
+new bits.  Compatibility (a buildable plan, serving kind, per-layer
+shape skeleton) is verified against :func:`~repro.combining.serialization.artifact_info`
 *before* the flip, so a bad swap never degrades the live entry.  Every
 artifact carries a content **fingerprint**
 (:func:`~repro.combining.serialization.artifact_fingerprint`, stored in

@@ -15,10 +15,13 @@ What the registry keeps resident is an immutable
 Plans never mutate shared state during a forward, so any number of worker
 threads may run the *same* resident model concurrently — there is no
 per-model forward lock anymore, and the registry is no longer the unit of
-serving concurrency.  Artifact-backed entries load through
-:func:`~repro.combining.serialization.load_plan` (``mmap="auto"``), so a
-V2 uncompressed artifact comes up as read-only views of the page cache
-without ever reconstructing the nn model.
+serving concurrency.  An artifact-backed entry loads from its file
+alone, through :func:`~repro.combining.serialization.load_plan` with
+``mmap="auto"`` — the same call the process backend's workers make — so
+a V2 uncompressed artifact comes up as read-only views of the page cache
+without ever reconstructing the nn model.  An artifact no plan can be
+built from (a matrix-only packing, a V1 file without ``model_spec``) is
+refused when it is registered or swapped in, never on a request.
 
 Loads are guarded by **per-entry** locks: concurrent ``get`` calls for
 one name still load its artifact exactly once, but a slow load of one
@@ -55,8 +58,11 @@ import numpy as np
 from repro.combining.execplan import PLAN_MODES, ExecutionPlan
 from repro.combining.inference import PackedModel
 from repro.combining.quantized import QuantizedPackedModel
-from repro.combining.serialization import artifact_info, load_plan
-from repro.nn import Module
+from repro.combining.serialization import (
+    artifact_info,
+    check_servable,
+    load_plan,
+)
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.systolic.system import ModelExecutionPlan
@@ -81,14 +87,6 @@ def _signature_from_info(info: dict[str, Any]) -> _LayerSignature:
                  for layer in info["layers"])
 
 
-def _needs_architecture(info: dict[str, Any]) -> bool:
-    """Whether an artifact loads only with a caller-supplied architecture:
-    it carries nn model state but neither a plan manifest nor a
-    ``model_spec`` to rebuild the model from."""
-    return (bool(info["has_model_state"]) and info.get("plan") is None
-            and info["model_spec"] is None)
-
-
 def _signature_from_plan(plan: ExecutionPlan) -> _LayerSignature:
     return tuple((op.name, tuple(op.packed.original_shape))
                  for op in plan.packed_ops)
@@ -104,20 +102,16 @@ class _Registration:
     content token (probed at registration / swap time, never trusted
     stale); ``generation`` counts cutovers — 1 for the original
     registration, +1 per swap.  ``layer_signature`` pins the per-layer
-    shape skeleton a swap target must reproduce.  ``needs_architecture``
-    marks an artifact that loads only with :attr:`architecture` (see
-    :meth:`ModelRegistry.needs_architecture`).
+    shape skeleton a swap target must reproduce.
     """
 
     name: str
     mode: str
     path: Path | None = None
-    architecture: Module | None = None
     resident: "ResidentModel | None" = None
     fingerprint: str | None = None
     generation: int = 1
     layer_signature: _LayerSignature | None = None
-    needs_architecture: bool = False
     load_lock: threading.Lock = field(default_factory=threading.Lock)
 
     @property
@@ -276,19 +270,17 @@ class ResidentModel:
 class ModelRegistry:
     """Thread-safe name -> execution plan mapping with bounded residency.
 
-    ``mmap`` is handed to :func:`load_plan` on every artifact load; the
-    default ``"auto"`` memory-maps V2 uncompressed artifacts (so N
-    registries / processes share one resident copy through the page
-    cache) and silently falls back to a regular load for compressed or
-    V1 artifacts.
+    Every artifact load is ``load_plan(path, mmap="auto")``: V2
+    uncompressed artifacts are memory-mapped (so N registries / processes
+    share one resident copy through the page cache), anything else falls
+    back to a regular read.
     """
 
-    def __init__(self, max_resident: int = 2, mmap: bool | str = "auto",
+    def __init__(self, max_resident: int = 2,
                  events: EventLog | None = None):
         if max_resident < 1:
             raise ValueError("max_resident must be >= 1")
         self.max_resident = max_resident
-        self.mmap = mmap
         self._lock = threading.RLock()
         self._registrations: dict[str, _Registration] = {}
         #: LRU order over resident *reloadable* entries (pinned live
@@ -317,33 +309,30 @@ class ModelRegistry:
                                 max_resident=self.max_resident)
 
     # -- registration --------------------------------------------------------
-    def register(self, name: str, path: str | Path, mode: str = "exact",
-                 architecture: Module | None = None) -> None:
+    def register(self, name: str, path: str | Path, mode: str = "exact"
+                 ) -> None:
         """Register a packed artifact under ``name`` (loaded lazily).
 
-        ``mode`` picks the serving backend; ``architecture`` optionally
-        supplies the nn model for artifacts saved without a
-        ``model_spec`` (it is handed to
-        :func:`~repro.combining.serialization.load_plan` on every load,
-        so an evicted-and-reloaded model reuses the same object).
-
-        Registration probes the artifact's metadata (cheap — no arrays
-        are loaded) to pin its content fingerprint and per-layer shape
-        signature: the fingerprint is what keys the process backend's
-        worker caches, and the signature is what a later
-        :meth:`swap` target must reproduce.
+        ``mode`` picks the serving mode.  Registration probes the
+        artifact's metadata (cheap — no arrays are loaded) to pin its
+        content fingerprint and per-layer shape signature: the
+        fingerprint is what keys the process backend's worker caches,
+        and the signature is what a later :meth:`swap` target must
+        reproduce.  An artifact no plan can be built from raises
+        :class:`~repro.combining.serialization.PackedArtifactError` here
+        (see :func:`~repro.combining.serialization.check_servable`).
         """
         path = Path(path)
         if not path.exists():
             raise FileNotFoundError(f"packed artifact {path} does not exist")
         info = artifact_info(path)
+        check_servable(info, path)
         with self._lock:
             self._check_registration(name, mode)
             self._registrations[name] = _Registration(
-                name=name, mode=mode, path=path, architecture=architecture,
+                name=name, mode=mode, path=path,
                 fingerprint=str(info["fingerprint"]),
-                layer_signature=_signature_from_info(info),
-                needs_architecture=_needs_architecture(info))
+                layer_signature=_signature_from_info(info))
 
     def add(self, name: str,
             model: PackedModel | QuantizedPackedModel | ExecutionPlan,
@@ -414,15 +403,6 @@ class ModelRegistry:
             return (registration.path, registration.mode,
                     registration.fingerprint)
 
-    def needs_architecture(self, name: str) -> bool:
-        """Whether ``name``'s artifact loads only with the architecture
-        passed to :meth:`register` / :meth:`swap` — it has neither a plan
-        manifest nor a ``model_spec``.  A process-backend worker loads
-        artifacts by path alone, so it cannot serve such an entry."""
-        with self._lock:
-            registration = self._registrations.get(name)
-            return registration is not None and registration.needs_architecture
-
     def get(self, name: str) -> ResidentModel:
         """The resident model for ``name``, loading (and evicting) as needed.
 
@@ -461,12 +441,12 @@ class ModelRegistry:
                     return resident
                 # Snapshot under the lock: stable for the duration of
                 # the load (swaps also serialize on load_lock).
-                path, architecture = registration.path, registration.architecture
+                path = registration.path
                 mode, fingerprint = registration.mode, registration.fingerprint
                 generation = registration.generation
             started = time.monotonic()
             try:
-                loaded = load_plan(path, model=architecture, mmap=self.mmap)
+                loaded = load_plan(path, mmap="auto")
             except Exception as error:
                 self.event_log.emit("load_failure", model=name,
                                     path=str(path),
@@ -526,9 +506,7 @@ class ModelRegistry:
     def _install_swapped(self, registration: _Registration,
                          resident: ResidentModel, *, path: Path | None,
                          fingerprint: str | None,
-                         architecture: Module | None,
                          signature: _LayerSignature,
-                         needs_architecture: bool,
                          load_seconds: float) -> dict[str, Any]:
         """Atomically cut the entry over (caller holds ``load_lock``)."""
         with self._lock:
@@ -536,9 +514,7 @@ class ModelRegistry:
             registration.generation += 1
             registration.path = path
             registration.fingerprint = fingerprint
-            registration.architecture = architecture
             registration.layer_signature = signature
-            registration.needs_architecture = needs_architecture
             resident.generation = registration.generation
             resident.fingerprint = fingerprint
             if path is None:
@@ -567,8 +543,7 @@ class ModelRegistry:
                             live=path is None)
         return result
 
-    def swap(self, name: str, path: str | Path,
-             architecture: Module | None = None) -> dict[str, Any]:
+    def swap(self, name: str, path: str | Path) -> dict[str, Any]:
         """Cut a registered name over to an updated artifact, under traffic.
 
         The new artifact is probed (:func:`artifact_info`: content
@@ -584,11 +559,12 @@ class ModelRegistry:
         ``{"generation", "fingerprint", "previous_fingerprint",
         "load_seconds", "name"}``.
 
-        ``architecture`` replaces the registration's architecture module
-        for this and future loads (defaults to keeping the current one).
         Incompatible targets (wrong serving kind, different packed-layer
-        skeleton) raise ``ValueError`` before anything flips, so a failed
-        swap never degrades the live entry.
+        skeleton) raise ``ValueError``, and targets no plan can be built
+        from raise
+        :class:`~repro.combining.serialization.PackedArtifactError`, all
+        before anything flips, so a failed swap never degrades the live
+        entry.
         """
         path = Path(path)
         if not path.exists():
@@ -596,15 +572,14 @@ class ModelRegistry:
         registration = self._registration_for_swap(name)
         with registration.load_lock:
             info = artifact_info(path)
+            check_servable(info, path)
             fingerprint = str(info["fingerprint"])
             signature = _signature_from_info(info)
             self._check_swap_compatible(registration, str(info["kind"]),
                                         signature, str(path))
-            if architecture is None:
-                architecture = registration.architecture
             started = time.monotonic()
             try:
-                loaded = load_plan(path, model=architecture, mmap=self.mmap)
+                loaded = load_plan(path, mmap="auto")
             except Exception as error:
                 self.event_log.emit("load_failure", model=name,
                                     path=str(path),
@@ -614,9 +589,7 @@ class ModelRegistry:
             resident = ResidentModel(name, registration.mode, loaded)
             return self._install_swapped(
                 registration, resident, path=path, fingerprint=fingerprint,
-                architecture=architecture, signature=signature,
-                needs_architecture=_needs_architecture(info),
-                load_seconds=elapsed)
+                signature=signature, load_seconds=elapsed)
 
     def swap_live(self, name: str,
                   model: PackedModel | QuantizedPackedModel | ExecutionPlan
@@ -641,8 +614,7 @@ class ModelRegistry:
                                         f"the live {type(model).__name__}")
             return self._install_swapped(
                 registration, resident, path=None, fingerprint=None,
-                architecture=None, signature=signature,
-                needs_architecture=False, load_seconds=elapsed)
+                signature=signature, load_seconds=elapsed)
 
     def stats(self) -> dict[str, Any]:
         with self._lock:

@@ -20,10 +20,9 @@ Two execution backends share this structure (``backend=``):
   :class:`~repro.serving.procpool.ProcessWorkerPool` worker, which maps
   the artifact itself (``load_plan(mmap="auto")``, cached per process
   and per content generation) and runs the same ``serve_batch`` outside
-  the GIL.  Only self-describing artifact registrations can be served
-  this way — a pinned live model has no path to ship, and an artifact
-  that loads only with an architecture passed to ``register()`` is
-  refused at :meth:`~InferenceServer.submit`.  If the pool dies (a
+  the GIL.  Every artifact registration loads from its path alone, so
+  any of them can be served this way; a pinned live model has no path
+  to ship, and its batches fail with a clear error.  If the pool dies (a
   worker was killed, OOMed, or crashed the interpreter), only the
   in-flight batch fails: the server rebuilds and rewarms the pool once
   per incident — with the ``forkserver`` start method, since by then
@@ -316,22 +315,12 @@ class InferenceServer:
         ``samples`` is a single ``(C, H, W)`` sample (the response is the
         single sample's output row) or an NCHW batch (the response keeps
         the batch axis).  Unknown model names fail fast here rather than
-        poisoning a worker, and so — on the process backend — do
-        artifacts that load only with the architecture given at
-        registration (workers load artifacts by path alone).
+        poisoning a worker.
         """
         if model_name not in self.registry:
             raise KeyError(
                 f"unknown model {model_name!r}; registered models: "
                 f"{self.registry.names()}")
-        if (self.backend == "process"
-                and self.registry.needs_architecture(model_name)):
-            raise ValueError(
-                f"model {model_name!r} cannot be served by the process "
-                "backend: its artifact has neither a plan manifest nor a "
-                "model_spec, so it loads only with the architecture passed "
-                "to register(), which worker processes never receive (serve "
-                "it on the thread backend, or re-save it with model_spec)")
         if not self._started:
             raise RuntimeError("server is not running; call start() first")
         batch, unbatched = ensure_sample_batch(samples)

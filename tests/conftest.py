@@ -152,3 +152,37 @@ def numerical_gradient(func, array: np.ndarray, epsilon: float = 1e-5) -> np.nda
         flat[index] = original
         grad_flat[index] = (upper - lower) / (2.0 * epsilon)
     return grad
+
+
+def rewrite_as_v1(path: Path, destination: Path | None = None,
+                  compress: bool = True) -> Path:
+    """Rewrite a V2 artifact from ``save_packed`` into the V1 layout.
+
+    The library only writes V2 but still reads V1, the format of the
+    checked-in golden artifacts.  This rebuilds that layout with plain
+    numpy, independently of the library's writer: one ``state.<name>``
+    entry per nn parameter (sliced out of the ``blob.<dtype>`` entries),
+    no ``state`` / ``buffers`` / ``plan`` metadata, ``format_version: 1``.
+    Like the files the old writer produced, the result carries no stored
+    content fingerprint, so readers fall back to hashing the file.
+    Writes to ``destination`` (default: in place) and returns it.
+    """
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {key: data[key] for key in data.files}
+    meta = json.loads(str(arrays.pop("meta")[()]))
+    assert meta["format_version"] == 2, meta["format_version"]
+    blobs = {key[len("blob."):]: arrays.pop(key)
+             for key in list(arrays) if key.startswith("blob.")}
+    for name, ref in (meta.pop("state") or {}).items():
+        start = int(ref["offset"])
+        flat = blobs[ref["blob"]][start:start + int(ref["size"])]
+        arrays[f"state.{name}"] = flat.reshape(ref["shape"])
+    for key in ("buffers", "plan", "fingerprint"):
+        meta.pop(key)
+    meta["format_version"] = 1
+    arrays["meta"] = np.array(json.dumps(meta, sort_keys=True))
+    destination = Path(path if destination is None else destination)
+    writer = np.savez_compressed if compress else np.savez
+    with open(destination, "wb") as handle:
+        writer(handle, **arrays)
+    return destination

@@ -33,6 +33,7 @@ from repro.combining import (
     GROUPING_ENGINES,
     PRUNE_ENGINES,
     ExecutionPlan,
+    PackedArtifactError,
     PackedModel,
     PackingPipeline,
     PipelineConfig,
@@ -53,6 +54,7 @@ from repro.serving.registry import ResidentModel
 from repro.systolic.array import ArrayConfig
 from repro.systolic.system import SystolicSystem
 from repro.systolic.tiles import TiledMatmul
+from tests.conftest import rewrite_as_v1
 
 ENGINE_COMBOS = [(grouping, prune)
                  for grouping in GROUPING_ENGINES for prune in PRUNE_ENGINES]
@@ -473,13 +475,14 @@ def test_load_plan_from_v2_artifact_is_bit_identical(tmp_path, packed_lenet5,
                                       batch_invariant=batch_invariant))
 
 
-def test_load_plan_quantized_v2_artifact(tmp_path, quantized_lenet5):
+@pytest.mark.parametrize("mmap", [False, True, "auto"])
+def test_load_plan_quantized_v2_artifact(tmp_path, quantized_lenet5, mmap):
     images = images_for("lenet5")
     path = save_packed(quantized_lenet5, tmp_path / "lenet5.int8.npz",
                        model_spec={"name": "lenet5",
                                    "kwargs": MODELS["lenet5"]["kwargs"]},
                        compress=False)
-    plan = load_plan(path, mmap=True)
+    plan = load_plan(path, mmap=mmap)
     assert plan.bits == 8
     assert np.array_equal(
         plan.forward(images, mode="quantized", batch_invariant=True),
@@ -492,13 +495,20 @@ def test_load_plan_v1_artifact_compiles_through_the_model(tmp_path,
     """V1 artifacts predate plan manifests: load_plan reconstructs the nn
     model and compiles, landing on the same bits."""
     images = images_for("lenet5")
-    path = save_packed(packed_lenet5, tmp_path / "lenet5.v1.npz",
-                       model_spec={"name": "lenet5",
-                                   "kwargs": MODELS["lenet5"]["kwargs"]},
-                       format_version=1)
+    path = rewrite_as_v1(save_packed(
+        packed_lenet5, tmp_path / "lenet5.v1.npz",
+        model_spec={"name": "lenet5", "kwargs": MODELS["lenet5"]["kwargs"]}))
     plan = load_plan(path)
     assert np.array_equal(plan.forward(images, batch_invariant=True),
                           packed_lenet5.forward(images, batch_invariant=True))
+
+
+def test_load_plan_rejects_v1_artifact_without_spec(tmp_path, packed_lenet5):
+    """With neither a plan manifest nor a model_spec the file alone cannot
+    rebuild the model, so there is no plan to serve."""
+    path = rewrite_as_v1(save_packed(packed_lenet5, tmp_path / "v1.npz"))
+    with pytest.raises(PackedArtifactError, match="neither a plan manifest"):
+        load_plan(path)
 
 
 def test_load_plan_rejects_matrix_only_artifacts(tmp_path):

@@ -25,6 +25,7 @@ from repro.combining import (
     QuantizedPackedModel,
     artifact_info,
     load_packed,
+    load_plan,
     save_packed,
 )
 from repro.combining.serialization import (
@@ -33,6 +34,7 @@ from repro.combining.serialization import (
 )
 from repro.experiments.workloads import sparse_network, spatial_sizes
 from repro.models import build_model
+from tests.conftest import rewrite_as_v1
 
 MODEL_SPEC = {"name": "lenet5",
               "kwargs": {"in_channels": 1, "num_classes": 10, "scale": 1.0,
@@ -177,8 +179,7 @@ def test_v2_consolidates_state_into_per_dtype_blobs(tmp_path, packed_lenet5):
     assert blobs  # per-dtype consolidated state
     # packed.* (4) + blob.* + meta, nothing per-tensor: a handful total.
     assert len(entries) <= 4 + len(blobs) + 1
-    v1 = save_packed(packed_lenet5, tmp_path / "v1.npz",
-                     model_spec=MODEL_SPEC, format_version=1)
+    v1 = rewrite_as_v1(path, tmp_path / "v1.npz")
     with np.load(v1, allow_pickle=False) as data:
         v1_entries = sorted(data.files)
     assert any(name.startswith("state.") for name in v1_entries)
@@ -187,13 +188,13 @@ def test_v2_consolidates_state_into_per_dtype_blobs(tmp_path, packed_lenet5):
 
 def test_v1_format_save_and_load_compat(tmp_path, packed_lenet5,
                                         quantized_lenet5, images):
-    """format_version=1 artifacts (and the checked-in golden ones) keep
-    loading bit-identically under the V2 reader."""
+    """V1 artifacts (and the checked-in golden ones) keep loading
+    bit-identically under the V2 reader."""
     for model, reference in [(packed_lenet5, packed_lenet5.forward(images)),
                              (quantized_lenet5,
                               quantized_lenet5.forward(images))]:
-        path = save_packed(model, tmp_path / "v1.npz", model_spec=MODEL_SPEC,
-                           format_version=1)
+        path = rewrite_as_v1(save_packed(model, tmp_path / "v1.npz",
+                                         model_spec=MODEL_SPEC))
         assert artifact_info(path)["format_version"] == 1
         assert np.array_equal(load_packed(path).forward(images), reference)
         path.unlink()
@@ -202,17 +203,19 @@ def test_v1_format_save_and_load_compat(tmp_path, packed_lenet5,
 def test_mmap_load_is_forward_bit_identical(tmp_path, packed_lenet5,
                                             quantized_lenet5, images):
     for model in (packed_lenet5, quantized_lenet5):
-        suffix = "q" if isinstance(model, QuantizedPackedModel) else "f"
-        path = save_packed(model, tmp_path / f"{suffix}.npz",
+        quantized = isinstance(model, QuantizedPackedModel)
+        mode = "quantized" if quantized else "exact"
+        path = save_packed(model, tmp_path / f"{mode}.npz",
                            model_spec=MODEL_SPEC, compress=False)
-        reference = load_packed(path, mmap=False)
+        reference = load_plan(path, mmap=False)
         for mmap in (True, "auto"):
-            mapped = load_packed(path, mmap=mmap)
-            assert np.array_equal(mapped.forward(images),
-                                  reference.forward(images))
-            assert np.array_equal(
-                mapped.forward(images, batch_invariant=True),
-                reference.forward(images, batch_invariant=True))
+            mapped = load_plan(path, mmap=mmap)
+            for batch_invariant in (False, True):
+                assert np.array_equal(
+                    mapped.forward(images, mode=mode,
+                                   batch_invariant=batch_invariant),
+                    reference.forward(images, mode=mode,
+                                      batch_invariant=batch_invariant))
 
 
 def test_mmap_rejects_compressed_artifacts_but_auto_falls_back(
@@ -220,17 +223,12 @@ def test_mmap_rejects_compressed_artifacts_but_auto_falls_back(
     path = save_packed(packed_lenet5, tmp_path / "c.npz",
                        model_spec=MODEL_SPEC, compress=True)
     with pytest.raises(PackedArtifactError, match="cannot be memory-mapped"):
-        load_packed(path, mmap=True)
-    loaded = load_packed(path, mmap="auto")  # silent fallback
+        load_plan(path, mmap=True)
+    loaded = load_plan(path, mmap="auto")  # silent fallback
     assert np.array_equal(loaded.forward(images),
                           packed_lenet5.forward(images))
     with pytest.raises(ValueError, match="mmap"):
-        load_packed(path, mmap="sometimes")
-
-
-def test_save_rejects_unknown_format_version(tmp_path, packed_lenet5):
-    with pytest.raises(ValueError, match="unknown packed-artifact format"):
-        save_packed(packed_lenet5, tmp_path / "x.npz", format_version=99)
+        load_plan(path, mmap="sometimes")
 
 
 # -- model resolution --------------------------------------------------------

@@ -11,18 +11,20 @@ reproduce the frozen numbers bit-for-bit, so future engine rewrites are
 diffed against the frozen behaviour instead of only against each other.
 
 Alongside the JSON fixtures, two **serialized packed artifacts** (a float
-and an 8-bit quantized LeNet-5, written by
-:func:`repro.combining.serialization.save_packed`) are checked in as
-binary fixtures: the round-trip tests load them with the *current* reader
-and pin save -> load -> forward end to end, so a format change that breaks
-existing artifacts (or shifts a single output bit) fails here instead of
-in production registries.
+and an 8-bit quantized LeNet-5, written by the format-V1 writer that
+:func:`repro.combining.serialization.save_packed` has since replaced) are
+checked in as binary fixtures: the round-trip tests load them with the
+*current* reader and pin save -> load -> forward end to end, so a format
+change that breaks existing artifacts (or shifts a single output bit)
+fails here instead of in production registries.
 
 To re-freeze after an intentional behaviour change::
 
     PYTHONPATH=src python -m pytest tests/test_golden_regression.py --regen-golden
 
-and review the JSON diff (artifact fixtures are re-written too).
+and review the JSON diff.  The two ``.npz`` artifacts are never
+re-written: they are the only real V1 files, and the current writer
+could only replace them with V2 ones.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from repro.combining import (
     PipelineConfig,
     QuantizedPackedModel,
     load_packed,
-    save_packed,
 )
 from repro.combining.serialization import fingerprint_packed
 from repro.experiments.workloads import (
@@ -217,11 +218,6 @@ def test_lenet5_quantized_forward_matches_golden(golden_check, grouping_engine,
 
 
 # -- serialized packed artifacts ---------------------------------------------
-GOLDEN_MODEL_SPEC = {"name": "lenet5",
-                     "kwargs": {"in_channels": 1, "num_classes": 10,
-                                "scale": 1.0, "image_size": 8}}
-
-
 def _golden_dir():
     from pathlib import Path
 
@@ -229,19 +225,18 @@ def _golden_dir():
 
 
 def _artifact_check(request, path, fresh, batch, fixture_name, golden_check):
-    """Regen or verify one checked-in artifact: save -> load -> forward.
+    """Verify one checked-in V1 artifact: load -> forward.
 
-    On ``--regen-golden`` the artifact is re-written from the freshly
-    packed model first; either way the checked-in file is then loaded with
-    the current reader and its forward must be bit-identical to the fresh
-    model's — the acceptance contract of the serialization format — with
-    the outputs additionally frozen in a JSON fixture.
+    The checked-in file is loaded with the current reader and its forward
+    must be bit-identical to the freshly packed model's — the acceptance
+    contract of the serialization format — with the outputs additionally
+    frozen in a JSON fixture.  ``--regen-golden`` re-freezes only that
+    JSON: the artifact itself stays as the old writer left it (and still
+    has to reproduce the fresh model).
     """
-    if request.config.getoption("--regen-golden"):
-        save_packed(fresh, path, model_spec=GOLDEN_MODEL_SPEC)
     assert path.exists(), (
-        f"golden artifact {path} is missing; generate it with "
-        f"`pytest {request.node.nodeid} --regen-golden`")
+        f"golden artifact {path} is missing; it is a format-V1 file that "
+        "the current writer cannot reproduce — restore it from git")
     loaded = load_packed(path)
     loaded_outputs = loaded.forward(batch)
     assert np.array_equal(loaded_outputs, fresh.forward(batch)), (

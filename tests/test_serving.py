@@ -8,6 +8,7 @@ prune engine combination, both execution backends
 
 from __future__ import annotations
 
+import shutil
 import threading
 import time
 from pathlib import Path
@@ -18,11 +19,16 @@ import pytest
 from repro.combining import (
     GROUPING_ENGINES,
     PRUNE_ENGINES,
+    PackedArtifactError,
     PackedModel,
+    PackingPipeline,
     PipelineConfig,
     QuantizedPackedModel,
+    load_packed,
     save_packed,
 )
+from repro.combining.serialization import artifact_fingerprint
+from repro.experiments.workloads import sparse_network
 from repro.models import build_model
 from repro.serving import (
     DynamicBatcher,
@@ -31,6 +37,7 @@ from repro.serving import (
     SERVING_MODES,
 )
 from repro.serving.batcher import Batch, PendingRequest
+from tests.conftest import rewrite_as_v1
 
 ENGINE_COMBOS = [(grouping, prune)
                  for grouping in GROUPING_ENGINES for prune in PRUNE_ENGINES]
@@ -423,18 +430,58 @@ def test_resident_batch_plan_tracks_spatial_sizes():
     assert resident.accounting_cache_size == 2
 
 
-def test_registry_rejects_matrix_only_artifacts_at_load(tmp_path):
-    from repro.combining import PackingPipeline
-    from repro.experiments.workloads import sparse_network
-
+def save_matrix_only(path: Path) -> Path:
+    """A matrix-only artifact: packed lenet5 filter matrices, no nn model."""
     layers = sparse_network("lenet5", density=0.13, seed=0)
     with PackingPipeline(PipelineConfig()) as pipeline:
         model = PackedModel.from_pipeline_result(pipeline.run(layers))
-    path = save_packed(model, tmp_path / "matrices.npz")
+    return save_packed(model, path)
+
+
+def test_registry_rejects_matrix_only_artifacts_at_load(tmp_path):
+    path = save_matrix_only(tmp_path / "matrices.npz")
     registry = ModelRegistry()
-    registry.register("m", path=path)
     with pytest.raises(ValueError, match="no nn model"):
-        registry.get("m")
+        registry.register("m", path=path)
+    assert "m" not in registry
+
+
+@pytest.mark.parametrize("backend", [
+    "thread", pytest.param("process", marks=pytest.mark.slow)])
+def test_unservable_artifacts_are_refused_at_register_and_swap(
+        tmp_path, packed, backend):
+    """An artifact no plan can be built from — a matrix-only packing, or a
+    V1 file without model_spec — is refused when registered or swapped
+    in, on either backend, so no batch ever fails on it; after a refused
+    swap the entry keeps serving its old bits."""
+    unservable = {
+        "matrix-only": (save_matrix_only(tmp_path / "matrices.npz"),
+                        "no nn model"),
+        "v1-no-spec": (rewrite_as_v1(save_packed(packed, tmp_path / "v1.npz")),
+                       "neither a plan manifest nor a model_spec"),
+    }
+    path = save_packed(packed, tmp_path / "m.npz", model_spec=MODEL_SPEC,
+                       compress=False)
+    request = np.random.default_rng(8).normal(size=(1, 8, 8))
+    expected = direct_forward(packed, "exact", request[None])[0]
+    registry = ModelRegistry()
+    for label, (bad_path, message) in unservable.items():
+        with pytest.raises(PackedArtifactError, match=message):
+            registry.register(label, path=bad_path)
+    assert registry.names() == []
+    registry.register("m", path=path)
+    with InferenceServer(registry, backend=backend, workers=1) as server:
+        assert np.array_equal(server.infer("m", request), expected)
+        for label, (bad_path, message) in unservable.items():
+            with pytest.raises(PackedArtifactError, match=message):
+                registry.swap("m", bad_path)
+            assert np.array_equal(server.infer("m", request), expected)
+        stats = server.stats()
+    assert registry.registration_info("m") == (
+        path, "exact", artifact_fingerprint(path))
+    assert registry.stats()["generations"] == {"m": 1}
+    assert stats["totals"]["failures"] == 0
+    assert registry.event_log.snapshot(kind="load_failure") == []
 
 
 # -- per-entry load locks ----------------------------------------------------
@@ -634,6 +681,39 @@ def test_server_bit_identical_across_execution_backends(tmp_path, packed,
     assert stats["backend"] == backend
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_server_serves_checked_in_v1_artifacts(tmp_path, backend):
+    """The golden artifacts are real files from the old V1 writer, with
+    its legacy ``file-`` fingerprint: both backends serve them through
+    load_plan's V1 branch (and, on the process backend, the worker's
+    fingerprint check) with the bits load_packed reproduces."""
+    golden = Path(__file__).resolve().parent / "golden"
+    models = {"exact": ("lenet5_packed_artifact.npz", "exact"),
+              "mx": ("lenet5_packed_artifact.npz", "mx"),
+              "int8": ("lenet5_quantized8_artifact.npz", "quantized")}
+    registry = ModelRegistry(max_resident=3)
+    expected: dict[str, list[np.ndarray]] = {}
+    stream = request_stream(6, seed=31)
+    for name, (filename, mode) in models.items():
+        path = tmp_path / filename
+        if not path.exists():
+            shutil.copyfile(golden / filename, path)
+        registry.register(name, path=path, mode=mode)
+        assert registry.registration_info(name)[2].startswith("file-")
+        expected[name] = [direct_forward(load_packed(path), mode, batch)
+                          for batch in stream]
+    with InferenceServer(registry, max_batch=4, max_wait=0.001, workers=2,
+                         backend=backend) as server:
+        pending = [(name, index, server.submit(name, batch))
+                   for index, batch in enumerate(stream) for name in models]
+        for name, index, request in pending:
+            assert np.array_equal(request.result(60.0),
+                                  expected[name][index]), (backend, name)
+        stats = server.stats()
+    assert stats["totals"]["failures"] == 0
+
+
 def test_server_rejects_unknown_backend(packed):
     registry = ModelRegistry()
     registry.add("m", packed)
@@ -652,33 +732,6 @@ def test_process_backend_relays_live_model_rejection(packed):
         with pytest.raises(ValueError, match="artifact-backed"):
             server.submit("live", sample(1)[0]).result(30.0)
     assert server.stats()["totals"]["failures"] == 1
-
-
-@pytest.mark.slow
-def test_process_backend_refuses_architecture_bound_artifact_at_submit(
-        tmp_path, packed):
-    """A V1 artifact saved without a model_spec loads only with the
-    architecture passed to register(): the thread backend serves it, and
-    the process backend — whose workers load artifacts by path alone —
-    refuses it at submit with an error naming the cause, instead of
-    failing every batch inside a worker."""
-    path = save_packed(packed, tmp_path / "v1.npz", compress=False,
-                       format_version=1)
-    request = np.random.default_rng(8).normal(size=(1, 8, 8))
-    expected = direct_forward(packed, "exact", request[None])[0]
-    for backend in ("thread", "process"):
-        registry = ModelRegistry()
-        registry.register("v1", path=path,
-                          architecture=build_model("lenet5", **MODEL_KWARGS))
-        with InferenceServer(registry, backend=backend, workers=1) as server:
-            if backend == "thread":
-                assert np.array_equal(server.infer("v1", request), expected)
-            else:
-                with pytest.raises(ValueError,
-                                   match="architecture passed to register"):
-                    server.submit("v1", request)
-            stats = server.stats()
-        assert stats["totals"]["failures"] == 0
 
 
 def test_server_coalescing_settings_do_not_change_responses(packed):
