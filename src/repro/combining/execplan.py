@@ -43,6 +43,12 @@ that does not use the plan (``tests/test_combining_plan.py``):
 batch-invariant kernels of :mod:`repro.combining.kernels`, so a sample's
 output bits never depend on the batch it rides in.
 
+Batch norm, ReLU and the residual add keep the ufuncs and operand order
+of the nn modules they replace (ReLU is :func:`~repro.nn.layers.relu`,
+``fmax`` then ``+= 0.0``, with the bits of the ``x > 0`` select it
+replaced), and an op writes in place only into arrays it allocated in
+the same call, never into its input.
+
 Plans are also the serving-side unit of residency: they pickle cleanly
 into worker processes (:mod:`repro.serving.procpool`) and deserialize
 straight out of V2 packed artifacts without reconstructing the nn model
@@ -83,6 +89,7 @@ from repro.nn.layers import (
     ReLU,
     Shift2d,
     ShiftConv2d,
+    relu,
     shift_channels,
     shift_groups,
 )
@@ -217,7 +224,11 @@ class SequenceOp:
 
 class ResidualOp:
     """Residual block: ``relu(main(x) + shortcut(x))`` (identity shortcut
-    when ``shortcut`` is ``None``), matching :meth:`BasicBlock.forward`."""
+    when ``shortcut`` is ``None``), matching :meth:`BasicBlock.forward`.
+
+    The ReLU runs in place on the sum, an array this call allocated; the
+    input and the branch outputs are never written.
+    """
 
     def __init__(self, main: SequenceOp, shortcut: Any | None):
         self.main = main
@@ -227,7 +238,7 @@ class ResidualOp:
         out = self.main.apply(x, ctx)
         residual = self.shortcut.apply(x, ctx) if self.shortcut is not None else x
         total = out + residual
-        return np.where(total > 0, total, 0.0)
+        return relu(total, out=total)
 
 
 class PackedLayerOp:
@@ -460,9 +471,11 @@ class ShiftOp:
 class BatchNormOp:
     """Eval-mode batch norm over frozen running statistics.
 
-    ``inv_std`` and the NCHW broadcast views are computed once here; the
-    forward expression is :class:`BatchNorm2d`'s eval expression, so the
-    bits match it.
+    ``inv_std`` and the NCHW broadcast views are computed once here.  The
+    forward runs :class:`BatchNorm2d`'s eval expression, ``gamma * ((x -
+    mean) * inv_std) + beta``, with the same ufuncs in the same order, so
+    the bits match it; every pass after the first writes in place into
+    the one array the first allocated (never into ``x``).
     """
 
     def __init__(self, mean: np.ndarray, var: np.ndarray, gamma: np.ndarray,
@@ -489,13 +502,19 @@ class BatchNormOp:
             raise ValueError(
                 f"BatchNorm2d expected (batch, {self.channels}, H, W), "
                 f"got {x.shape}")
-        x_hat = (x - self._mean4) * self._inv_std4
-        return self._gamma4 * x_hat + self._beta4
+        out = x - self._mean4
+        out *= self._inv_std4
+        np.multiply(self._gamma4, out, out=out)
+        out += self._beta4
+        return out
 
 
 class ReluOp:
+    """:class:`ReLU` twin: :func:`~repro.nn.layers.relu` into a fresh
+    array (``x`` may be a read-only or shared tensor)."""
+
     def apply(self, x: np.ndarray, ctx: _Ctx) -> np.ndarray:
-        return np.where(x > 0, x, 0.0)
+        return relu(x)
 
 
 class IdentityOp:

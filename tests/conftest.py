@@ -23,6 +23,36 @@ def pytest_addoption(parser: pytest.Parser) -> None:
              "current engine outputs instead of comparing against them")
 
 
+def within_max_ulp(fresh, stored, bound: int) -> bool:
+    """Whether two float arrays (as JSON lists) agree within ``bound`` ULP."""
+    try:
+        np.testing.assert_array_max_ulp(
+            np.asarray(fresh, dtype=np.float64),
+            np.asarray(stored, dtype=np.float64), maxulp=bound)
+    except (AssertionError, ValueError):
+        return False
+    return True
+
+
+def regen_golden_text(path: Path, payload,
+                      max_ulp: dict[str, int] | None = None) -> str:
+    """The fixture text ``--regen-golden`` writes to ``path`` for ``payload``.
+
+    A ``max_ulp`` key keeps its stored value while the fresh one is within
+    the bound, so a regen on a host whose BLAS sums in another order
+    leaves no diff; a key out of bound, and every exact key, takes the
+    fresh value.
+    """
+    fresh = json.loads(json.dumps(payload))
+    if max_ulp and path.exists():
+        stored = json.loads(path.read_text())
+        for key, bound in max_ulp.items():
+            if key in stored and within_max_ulp(fresh[key], stored[key],
+                                                bound):
+                fresh[key] = stored[key]
+    return json.dumps(fresh, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.fixture
 def golden_check(request: pytest.FixtureRequest):
     """Compare a JSON-serializable payload against a frozen golden fixture.
@@ -34,13 +64,14 @@ def golden_check(request: pytest.FixtureRequest):
     not platform-defined (BLAS output) to a bound in units in the last
     place; those keys are compared with ``np.testing.assert_array_max_ulp``
     and every other key stays exact.
-    Running pytest with ``--regen-golden`` rewrites the fixture instead,
-    so intentional engine changes are re-frozen in one command and show
-    up as a reviewable diff.  When several tests (e.g. the engine-combo
-    parametrizations) feed the same fixture name during one regen run,
-    the first writes and the rest are compared against it — a divergence
-    between engines fails the regen instead of being silently overwritten
-    by whichever combo ran last.
+    Running pytest with ``--regen-golden`` rewrites the fixture instead
+    (:func:`regen_golden_text`: ``max_ulp`` keys within their bound keep
+    their stored bits), so intentional engine changes are re-frozen in
+    one command and show up as a reviewable diff.  When several tests
+    (e.g. the engine-combo parametrizations) feed the same fixture name
+    during one regen run, the first writes and the rest are compared
+    against it — a divergence between engines fails the regen instead of
+    being silently overwritten by whichever combo ran last.
     """
     regen = request.config.getoption("--regen-golden")
     session = request.session
@@ -51,8 +82,8 @@ def golden_check(request: pytest.FixtureRequest):
     def check(name: str, payload, max_ulp: dict[str, int] | None = None
               ) -> None:
         path = GOLDEN_DIR / f"{name}.json"
-        encoded = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         if regen:
+            encoded = regen_golden_text(path, payload, max_ulp)
             if name in regenerated:
                 assert encoded == regenerated[name], (
                     f"two tests produced different payloads for golden "
@@ -69,7 +100,7 @@ def golden_check(request: pytest.FixtureRequest):
         stored = json.loads(path.read_text())
         # Round-trip the payload through JSON so the comparison sees exactly
         # what a regen would have written (e.g. tuples become lists).
-        fresh = json.loads(encoded)
+        fresh = json.loads(json.dumps(payload))
         for key, bound in (max_ulp or {}).items():
             np.testing.assert_array_max_ulp(
                 np.asarray(fresh.pop(key), dtype=np.float64),

@@ -89,6 +89,14 @@ def images_for(name: str, count: int = 6) -> np.ndarray:
         size=(count, *MODELS[name]["sample_shape"]))
 
 
+def read_only_images(name: str) -> np.ndarray:
+    """``images_for(name)`` flagged read-only: no op may write into the
+    caller's input (an op writes in place only into arrays it allocated)."""
+    images = images_for(name)
+    images.setflags(write=False)
+    return images
+
+
 @pytest.fixture(scope="module")
 def packed_lenet5() -> PackedModel:
     return build_packed("lenet5")
@@ -201,7 +209,9 @@ def assert_plan_matches_dense_oracle(packed: PackedModel, images: np.ndarray
 @pytest.mark.parametrize("name", list(MODELS))
 def test_plan_matches_legacy_forward_per_architecture(name):
     packed = build_packed(name)
-    assert_plan_matches_dense_oracle(packed, images_for(name))
+    images = read_only_images(name)
+    assert_plan_matches_dense_oracle(packed, images)
+    assert_same_bits(images, images_for(name))
 
 
 @pytest.mark.parametrize("grouping_engine,prune_engine", ENGINE_COMBOS)
@@ -221,7 +231,7 @@ QUANTIZED_CASES = [
 @pytest.mark.parametrize("name,bits,array", QUANTIZED_CASES)
 def test_quantized_plan_matches_run_layer_oracle(name, bits, array):
     quantized = build_quantized(name, bits, array)
-    images = images_for(name)
+    images = read_only_images(name)
     plan = quantized.compile_plan()
     assert plan.bits == bits
     assert "quantized" in plan.modes
@@ -243,6 +253,7 @@ def test_quantized_plan_matches_run_layer_oracle(name, bits, array):
         for start in range(0, len(images), 2)])
     assert_same_bits(quantized.forward(images, batch_size=2), expected)
     assert_report_matches_run_layer(quantized, chunked)
+    assert_same_bits(images, images_for(name))
 
 
 def assert_report_matches_run_layer(quantized: QuantizedPackedModel,

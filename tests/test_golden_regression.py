@@ -29,6 +29,8 @@ could only replace them with V2 ones.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,7 @@ from repro.experiments.workloads import (
     spatial_sizes,
 )
 from repro.models import build_model
+from tests.conftest import regen_golden_text
 
 ENGINE_COMBOS = [(grouping, prune)
                  for grouping in GROUPING_ENGINES for prune in PRUNE_ENGINES]
@@ -281,3 +284,36 @@ def test_golden_fixtures_are_checked_in():
     artifacts = {path.name for path in golden_dir.glob("*.npz")}
     assert {"lenet5_packed_artifact.npz",
             "lenet5_quantized8_artifact.npz"} <= artifacts
+
+
+def test_regen_keeps_stored_values_within_their_ulp_bound(tmp_path):
+    """``--regen-golden`` rewrites a ``max_ulp`` key only when it moved past
+    its bound: a 1-2 ULP BLAS difference leaves the fixture byte-identical,
+    while an out-of-bound key and any exact key take the fresh values."""
+    path = tmp_path / "fixture.json"
+    logits = [0.1, -2.5, 3.75]
+    stored = {"first_logits": logits, "predictions": [2, 0]}
+    path.write_text(regen_golden_text(path, stored))
+    frozen = path.read_text()
+
+    def shifted(ulps: int) -> list[float]:
+        return [float(value) for value in np.asarray(logits)
+                + ulps * np.spacing(np.asarray(logits))]
+
+    path.write_text(regen_golden_text(
+        path, {"first_logits": shifted(2), "predictions": [2, 0]},
+        max_ulp=LOGITS_MAX_ULP))
+    assert path.read_text() == frozen
+
+    moved = shifted(9)
+    path.write_text(regen_golden_text(
+        path, {"first_logits": moved, "predictions": [2, 0]},
+        max_ulp=LOGITS_MAX_ULP))
+    assert json.loads(path.read_text())["first_logits"] == moved
+
+    path.write_text(frozen)
+    path.write_text(regen_golden_text(
+        path, {"first_logits": shifted(1), "predictions": [2, 1]},
+        max_ulp=LOGITS_MAX_ULP))
+    assert json.loads(path.read_text()) == {"first_logits": logits,
+                                            "predictions": [2, 1]}

@@ -19,7 +19,8 @@ from repro.nn import (
     Shift2d,
     ShiftConv2d,
 )
-from repro.nn.layers import SHIFT_DIRECTIONS
+from repro.combining.execplan import ReluOp, ResidualOp, SequenceOp
+from repro.nn.layers import SHIFT_DIRECTIONS, relu
 
 from tests.conftest import numerical_gradient
 
@@ -224,6 +225,82 @@ def test_batchnorm_gamma_beta_gradients(rng):
     check_weight_gradient(layer, layer.beta, x, rtol=1e-3, atol=1e-5)
 
 
+def old_batchnorm_forward(x, layer):
+    """The multi-pass forward ``BatchNorm2d`` replaced, as the bit oracle:
+    returns (output, x_hat, inv_std, running_mean, running_var)."""
+    running_mean, running_var = layer.running_mean, layer.running_var
+    if layer.training:
+        mean = x.mean(axis=(0, 2, 3))
+        var = x.var(axis=(0, 2, 3))
+        m = layer.momentum
+        running_mean = (1 - m) * running_mean + m * mean
+        running_var = (1 - m) * running_var + m * var
+    else:
+        mean, var = running_mean, running_var
+    inv_std = 1.0 / np.sqrt(var + layer.eps)
+    x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    out = (layer.gamma.data[None, :, None, None] * x_hat
+           + layer.beta.data[None, :, None, None])
+    return out, x_hat, inv_std, running_mean, running_var
+
+
+def old_batchnorm_backward(grad_output, x_hat, inv_std, gamma, training):
+    """The multi-pass backward, as the bit oracle: returns (input grad,
+    gamma grad, beta grad)."""
+    batch, _, height, width = grad_output.shape
+    count = batch * height * width
+    gamma_grad = (grad_output * x_hat).sum(axis=(0, 2, 3))
+    beta_grad = grad_output.sum(axis=(0, 2, 3))
+    dxhat = grad_output * gamma[None, :, None, None]
+    if not training:
+        return dxhat * inv_std[None, :, None, None], gamma_grad, beta_grad
+    sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
+    sum_dxhat_xhat = (dxhat * x_hat).sum(axis=(0, 2, 3), keepdims=True)
+    grad_input = (dxhat - sum_dxhat / count - x_hat * sum_dxhat_xhat / count)
+    return grad_input * inv_std[None, :, None, None], gamma_grad, beta_grad
+
+
+def same_bytes(actual, expected) -> bool:
+    return (actual.shape == expected.shape and actual.dtype == expected.dtype
+            and actual.tobytes() == expected.tobytes())
+
+
+@pytest.mark.parametrize("shape", [(64, 16, 12, 12), (64, 32, 6, 6),
+                                   (64, 64, 3, 3)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_batchnorm_bits_match_multi_pass_expressions(shape):
+    rng = np.random.default_rng(5)
+    channels = shape[1]
+    layer = BatchNorm2d(channels)
+    layer.gamma.data[:] = rng.normal(size=channels)
+    layer.beta.data[:] = rng.normal(size=channels)
+    layer.running_mean[:] = rng.normal(size=channels)
+    # The pointwise convolution hands batch norm a transposed einsum view.
+    x = np.einsum("nc,bchw->bnhw", rng.normal(size=(channels, channels)),
+                  rng.normal(loc=0.5, size=shape), optimize=True)
+    grad_output = rng.normal(size=shape)
+    for array in (x, grad_output):
+        array.setflags(write=False)
+    before = grad_output.copy()
+    for set_mode in (layer.train, layer.eval):
+        set_mode()
+        layer.zero_grad()
+        expected, x_hat, inv_std, running_mean, running_var = (
+            old_batchnorm_forward(x, layer))
+        assert same_bytes(layer.forward(x), expected)
+        assert same_bytes(layer._cache[0], x_hat)
+        assert same_bytes(layer.running_mean, running_mean)
+        assert same_bytes(layer.running_var, running_var)
+
+        grad_input, gamma_grad, beta_grad = old_batchnorm_backward(
+            grad_output, x_hat, inv_std, layer.gamma.data, layer.training)
+        assert same_bytes(layer.backward(grad_output), grad_input)
+        assert same_bytes(layer.gamma.grad, gamma_grad)
+        assert same_bytes(layer.beta.grad, beta_grad)
+    # A residual block feeds one grad_output to both branches.
+    assert same_bytes(grad_output, before)
+
+
 def test_batchnorm_rejects_wrong_channels(rng):
     layer = BatchNorm2d(2)
     with pytest.raises(ValueError):
@@ -236,6 +313,44 @@ def test_relu_zeroes_negative_values():
     layer = ReLU()
     out = layer.forward(np.array([[-1.0, 2.0], [0.0, -3.0]]))
     np.testing.assert_allclose(out, [[0.0, 2.0], [0.0, 0.0]])
+
+
+#: NaN (two payloads, both signs), +-inf, +-0.0, +-denormal and normals.
+RELU_SPECIALS = np.concatenate([
+    np.array([0x7FF8000000000000, 0xFFF8000000000ABC],
+             dtype=np.uint64).view(np.float64),
+    [np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1.5, -2.5]])
+
+
+def relu_inputs(layout: str) -> list[np.ndarray]:
+    shape = (2, 3, 4, 5)
+    if layout == "contiguous":
+        return [np.resize(RELU_SPECIALS, shape)]
+    if layout == "transposed":  # like a quantized packed layer's output
+        return [np.resize(RELU_SPECIALS, shape[::-1]).transpose(3, 2, 1, 0)]
+    # One value per array: numpy's fmax takes its scalar loop, which (unlike
+    # its vector loop here) returns -0.0 for fmax(-0.0, 0.0).
+    return [np.full((1, 1, 1, 1), value) for value in RELU_SPECIALS]
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed", "single"])
+def test_relu_paths_match_the_where_oracle_on_special_values(layout):
+    """``relu``, ``ReLU``, ``ReluOp`` and ``ResidualOp`` have the bits of
+    ``np.where(x > 0, x, 0.0)`` and leave their read-only input alone."""
+
+    def oracle(values):
+        return np.where(values > 0, values, 0.0)
+
+    for x in relu_inputs(layout):
+        x.setflags(write=False)
+        before = x.copy()
+        assert same_bytes(relu(x), oracle(x))
+        assert same_bytes(ReLU().forward(x), oracle(x))
+        assert same_bytes(ReluOp().apply(x, None), oracle(x))
+        # Identity shortcut and an empty main branch: relu(x + x).
+        assert same_bytes(ResidualOp(SequenceOp(()), None).apply(x, None),
+                          oracle(x + x))
+        assert same_bytes(x, before)
 
 
 def test_relu_gradient_masks_negative_inputs(rng):
