@@ -243,13 +243,10 @@ def main() -> None:
 
         for label, run_stats in [("thread", stats), ("process", process_stats)]:
             totals = run_stats["totals"]
-            plan_cache = totals["plan_cache"]
             print(f"[{label}] served {totals['requests']} requests in "
                   f"{totals['batches']} batches "
                   f"(mean batch {totals['mean_batch_size']:.1f}), "
-                  f"{totals['cycles']} systolic cycles; "
-                  f"accounting plan cache "
-                  f"{plan_cache['hits']} hits / {plan_cache['misses']} misses")
+                  f"{totals['cycles']} systolic cycles")
             for name, model_stats in sorted(run_stats["per_model"].items()):
                 print(f"  {name}: {model_stats['requests']} requests, "
                       f"mean queue "

@@ -31,10 +31,9 @@ Three subcommands cover the library's main workflows:
 ``serve-bench``
     Run the serving benchmark on a packed artifact: artifact-load vs
     re-pack cold start, then dynamic batching vs one-request-at-a-time
-    throughput through the :class:`~repro.serving.server.InferenceServer`
-    (the accounting plan-cache hit/miss totals are reported alongside),
-    with the batched run's queued / service latency p50/p90/p99 and
-    flush-reason split.
+    throughput through the :class:`~repro.serving.server.InferenceServer`,
+    with the batched run's systolic cycles, queued / service latency
+    p50/p90/p99 and flush-reason split.
     ``--profile`` adds per-layer wall-time accounting (top-3 slowest
     layers; responses stay bit-identical), ``--trace`` prints the last
     request traces.  ``--slo P99_MS`` evaluates the stock SLO rule set
@@ -762,15 +761,11 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
           f"{throughput['batched_throughput']:.0f}",
           f"{throughput['batched_seconds']:.4f}",
           f"{throughput['batched_mean_batch']:.1f}")]))
-    plan_cache = throughput["batched_plan_cache"]
     print(f"batching speedup {throughput['speedup']:.1f}x over "
           f"{throughput['requests']} single-sample requests; responses "
           f"bit-identical to direct forward: "
           f"{throughput['bit_identical_to_direct']}")
-    print(f"accounting plan cache (batched run): {plan_cache['hits']} hits, "
-          f"{plan_cache['misses']} misses"
-          + (" (per-process caches each pay their own misses)"
-             if args.backend == "process" else ""))
+    print(f"systolic cycles (batched run): {throughput['batched_cycles']}")
     print(format_table(
         ["latency (batched run)", "p50", "p90", "p99", "mean", "max"],
         [_latency_rows("queued", throughput["queued_seconds"]),

@@ -65,7 +65,6 @@ Usage::
 
 from __future__ import annotations
 
-import functools
 from time import perf_counter_ns
 from typing import Any, Callable, Sequence
 
@@ -96,9 +95,9 @@ from repro.nn.layers import (
 from repro.nn.module import Module, Sequential
 from repro.quant.linear import LinearQuantizer
 from repro.systolic.array import ArrayConfig
-from repro.systolic.system import ModelExecutionPlan, SystolicSystem
-from repro.systolic.tiles import TileGeometry, pipelined_cycles, tile_geometry
-from repro.systolic.timing import CellTiming
+from repro.systolic.system import ModelExecutionPlan, layer_execution
+from repro.systolic.tiles import TileGeometry, tile_geometry
+from repro.systolic.timing import words_per_sample
 
 #: Forward modes an :class:`ExecutionPlan` can support — the one
 #: declaration every mode check derives from.  ``"quantized"`` (last)
@@ -110,21 +109,17 @@ class _Ctx:
     """Per-forward execution context threaded through the op tree.
 
     Holds the knobs every op dispatches on (``mode``,
-    ``batch_invariant``), the optional
-    per-layer :class:`_LayerTap`, and — for quantized plans — the
-    :class:`~repro.systolic.system.SystolicSystem` whose array
-    configuration sizes the integer layers' tile and cycle accounting.
+    ``batch_invariant``) and the optional per-layer :class:`_LayerTap`.
     One ``_Ctx`` is built per ``forward`` call, so
     concurrent forwards on one plan never share mutable state.
     """
 
-    __slots__ = ("mode", "batch_invariant", "system", "tap")
+    __slots__ = ("mode", "batch_invariant", "tap")
 
     def __init__(self, mode: str, batch_invariant: bool,
-                 system: SystolicSystem | None, tap: _LayerTap | None):
+                 tap: _LayerTap | None):
         self.mode = mode
         self.batch_invariant = batch_invariant
-        self.system = system
         self.tap = tap
 
 
@@ -133,10 +128,10 @@ class _LayerTap:
 
     :meth:`PackedLayerOp.apply` calls :meth:`record` once per layer and
     batch chunk with the layer's input, its output before (``raw``) and
-    after (``out``) the bias, the ``info`` dict of a systolic run
-    (quantized mode: ``input_saturation``, ``num_tiles`` and ``cycles``,
-    as :meth:`~repro.systolic.system.SystolicSystem.run_layer` reports
-    them; ``None`` otherwise) and the layer's wall time in integer
+    after (``out``) the bias, the ``info`` dict of a quantized layer
+    (``input_saturation``, as
+    :meth:`~repro.systolic.system.SystolicSystem.run_layer` reports it;
+    ``None`` in the float modes) and the layer's wall time in integer
     nanoseconds.  This base tap fills :meth:`ExecutionPlan.forward`'s
     ``observed`` spatial sizes and ``profile`` nanoseconds (exact
     accumulation across chunks and merges — see :mod:`repro.obs.metrics`);
@@ -201,14 +196,6 @@ def split_activation_batch(activations: np.ndarray,
             for start in range(0, total, batch_size)]
 
 
-@functools.lru_cache(maxsize=1024)
-def _layer_cycles(tiles: tuple[TileGeometry, ...], words: int,
-                  timing: CellTiming) -> int:
-    """Cycles of one packed layer streaming ``words`` data words (cached:
-    a served layer sees a handful of batch sizes)."""
-    return pipelined_cycles([tile.execution(words, timing) for tile in tiles])
-
-
 # -- ops ----------------------------------------------------------------------
 class SequenceOp:
     """Run child ops in order (the plan twin of :class:`Sequential`)."""
@@ -250,9 +237,10 @@ class PackedLayerOp:
     realization for exact mode starts as the compiled spec's cached
     :meth:`~repro.combining.inference.PackedLayerSpec.realized` (plans
     loaded from artifacts realize lazily); quantized mode's integer
-    realization (:meth:`integer_realized`) is always built lazily, once.
-    The benign race of two threads realizing concurrently produces
-    identical arrays.
+    realization (:meth:`integer_realized`) and the tile geometry the
+    systolic accounting reads (:meth:`geometry`) are always built lazily,
+    once.  The benign race of two threads realizing concurrently produces
+    identical results.
     """
 
     def __init__(self, name: str, packed: PackedFilterMatrix,
@@ -266,7 +254,8 @@ class PackedLayerOp:
         self.input_quantizer = input_quantizer
         self.weight_quantizer = weight_quantizer
         self._realized: np.ndarray | None = None
-        self._integer: tuple[np.ndarray, tuple[TileGeometry, ...]] | None = None
+        self._integer: np.ndarray | None = None
+        self._tiles: tuple[TileGeometry, ...] | None = None
 
     def realized(self) -> np.ndarray:
         dense = self._realized
@@ -276,34 +265,36 @@ class PackedLayerOp:
             self._realized = dense
         return dense
 
-    def integer_realized(self, config: ArrayConfig
-                         ) -> tuple[np.ndarray, tuple[TileGeometry, ...]]:
-        """Quantized mode's frozen layer: ``(dense_int, tiles)``.
-
-        ``dense_int`` holds the frozen weight quantizer's integers (as
-        float64) scattered into the (N, M) filter matrix the way
-        :meth:`~repro.combining.packing.PackedFilterMatrix.to_sparse`
-        scatters the float weights; ``tiles`` is the integer packed
-        matrix's tile geometry on ``config``'s array, the source of the
-        per-call tile and cycle accounting.  An op belongs to one plan,
-        so ``config`` is always that plan's array and the first call's
-        result is kept.
-        """
-        integer = self._integer
-        if integer is None:
+    def integer_realized(self) -> np.ndarray:
+        """Quantized mode's frozen layer: the frozen weight quantizer's
+        integers (as float64) scattered into the (N, M) filter matrix the
+        way :meth:`~repro.combining.packing.PackedFilterMatrix.to_sparse`
+        scatters the float weights."""
+        dense_int = self._integer
+        if dense_int is None:
             packed = self.packed
             assert self.weight_quantizer is not None
-            packed_int = PackedFilterMatrix(
+            dense_int = PackedFilterMatrix(
                 weights=self.weight_quantizer.quantize(
                     packed.weights).astype(np.float64),
                 channel_index=packed.channel_index,
                 grouping=packed.grouping,
-                original_shape=packed.original_shape)
-            dense_int = packed_int.to_sparse()
+                original_shape=packed.original_shape).to_sparse()
             dense_int.setflags(write=False)
-            integer = (dense_int, tile_geometry(packed_int.weights, config))
-            self._integer = integer
-        return integer
+            self._integer = dense_int
+        return dense_int
+
+    def geometry(self, config: ArrayConfig) -> tuple[TileGeometry, ...]:
+        """The packed matrix's tile geometry on ``config``'s array, the
+        source of every batch's systolic cost.  An op belongs to one plan,
+        so ``config`` is always that plan's array and the first call's
+        result is kept.  Cycles and tile counts read only tile shapes, so
+        they are the same for the float and the integer weights."""
+        tiles = self._tiles
+        if tiles is None:
+            tiles = tile_geometry(self.packed.weights, config)
+            self._tiles = tiles
+        return tiles
 
     def check_quantized(self, config: ArrayConfig) -> None:
         """Raise ``ValueError`` naming this layer unless quantized mode
@@ -346,7 +337,8 @@ class PackedLayerOp:
         started = perf_counter_ns()
         info = None
         if ctx.mode == "quantized":
-            raw, info = self._apply_integer(x, ctx)
+            raw, saturation = self._apply_integer(x)
+            info = {"input_saturation": saturation}
         elif ctx.mode == "mx":
             raw = self.packed.multiply_activations(x)
         elif ctx.batch_invariant:
@@ -358,37 +350,29 @@ class PackedLayerOp:
             ctx.tap.record(self, x, raw, out, info, perf_counter_ns() - started)
         return out
 
-    def _apply_integer(self, x: np.ndarray, ctx: _Ctx
-                       ) -> tuple[np.ndarray, dict | None]:
+    def _apply_integer(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """Quantized mode: one exact integer GEMM (see the module docstring).
 
         The plan's shift op already moved the pixels (bit-exact with the
-        hardware ShiftBlock); the layer starts at quantizing.  ``info``
-        carries what a tap reads of a systolic run — input saturation,
-        tiles and cycles — and is ``None`` for untapped forwards.
+        hardware ShiftBlock); the layer starts at quantizing.  Returns the
+        output and the input quantizer's saturation rate on ``x``.
         """
-        assert ctx.system is not None and self.input_quantizer is not None
+        assert self.input_quantizer is not None
         assert self.weight_quantizer is not None
-        config = ctx.system.config
-        dense_int, tiles = self.integer_realized(config)
         batch, channels, height, width = x.shape
         data = x.transpose(1, 0, 2, 3).reshape(channels, -1)
         data_int, saturation = self.input_quantizer.quantize_with_saturation(data)
-        acc = dense_int @ data_int.astype(np.float64)
+        acc = self.integer_realized() @ data_int.astype(np.float64)
         acc *= self.input_quantizer.scale * self.weight_quantizer.scale
         raw = acc.reshape(-1, batch, height, width).transpose(1, 0, 2, 3)
-        if ctx.tap is None:
-            return raw, None
-        info = {"input_saturation": saturation,
-                "num_tiles": len(tiles),
-                "cycles": _layer_cycles(tiles, data.shape[1], config.timing)}
-        return raw, info
+        return raw, saturation
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        # Both realizations are rebuilt lazily after unpickling.
+        # Realizations and geometry are rebuilt lazily after unpickling.
         state["_realized"] = None
         state["_integer"] = None
+        state["_tiles"] = None
         return state
 
 
@@ -577,9 +561,10 @@ class ExecutionPlan:
     read-only artifact view) and nothing in :meth:`forward` writes
     instance state (beyond filling the ops' lazy realization caches),
     which is what makes one plan safe to share across threads and cheap
-    to ship to worker processes.  ``bits`` is set for quantized-capable
-    plans; they carry a :class:`~repro.systolic.system.SystolicSystem`
-    configured like the
+    to ship to worker processes.  ``array_config`` is the systolic array
+    the plan is costed on (default: ``array_rows`` x ``array_cols`` with
+    the packing's MX degree, and ``bits``-bit cells if set).  ``bits`` is
+    set for quantized-capable plans, whose array is configured like the
     :class:`~repro.combining.quantized.QuantizedPackedModel` they came
     from, so quantized outputs and cycle accounting match it exactly.
     Building one checks every packed layer's quantizers against that
@@ -599,13 +584,12 @@ class ExecutionPlan:
         self.array_cols = array_cols
         self.pipeline_config = pipeline_config
         self.bits = bits
-        if bits is not None and array_config is None:
+        if array_config is None:
             array_config = ArrayConfig(
-                rows=array_rows, cols=array_cols, input_bits=bits,
+                rows=array_rows, cols=array_cols,
+                input_bits=ArrayConfig.input_bits if bits is None else bits,
                 alpha=max(1, self.multiplexing_degree()))
         self.array_config = array_config
-        self.system = (SystolicSystem(array_config) if bits is not None
-                       else None)
         if bits is not None:
             for op in self.packed_ops:
                 op.check_quantized(array_config)
@@ -670,7 +654,7 @@ class ExecutionPlan:
             raise ValueError(f"unknown forward mode {mode!r}; this plan "
                              f"supports {self.modes}")
         chunks = split_activation_batch(activations, batch_size)
-        ctx = _Ctx(mode, batch_invariant, self.system, tap)
+        ctx = _Ctx(mode, batch_invariant, tap)
         outputs = [self.root.apply(chunk, ctx) for chunk in chunks]
         return outputs[0] if len(outputs) == 1 else np.concatenate(outputs, axis=0)
 
@@ -687,45 +671,34 @@ class ExecutionPlan:
 
     # -- cycle / tile accounting ---------------------------------------------
     def execution_plan(self, observed: dict[str, tuple[int, int]] | None = None,
-                       spatial_sizes: Sequence[int] | None = None,
-                       batch: int = 1,
-                       array_config: ArrayConfig | None = None
-                       ) -> ModelExecutionPlan:
-        """Plan the model on the systolic timing model (stateless).
+                       batch: int = 1) -> ModelExecutionPlan:
+        """Cost ``batch`` samples on the systolic timing model (stateless).
 
         The plan twin of :meth:`PackedModel.plan` /
         :meth:`QuantizedPackedModel.plan`: spatial sizes come from an
-        ``observed`` map collected by :meth:`forward` (or explicit
-        ``spatial_sizes``); the default array configuration matches the
-        source model's, so cycle totals are identical to its ``plan()``.
+        ``observed`` map collected by :meth:`forward`, and each layer is
+        costed from its tile geometry on the plan's own array
+        (:meth:`PackedLayerOp.geometry`), so cycle totals are identical to
+        the source model's ``plan()``.
         """
-        if spatial_sizes is None:
-            if observed is None or any(op.name not in observed
-                                       for op in self.packed_ops):
-                raise RuntimeError(
-                    "no spatial sizes available; pass the observed map from "
-                    "forward(..., observed={}) or spatial_sizes explicitly")
-            sizes: list[int] = []
-            for op in self.packed_ops:
-                height, width = observed[op.name]
-                if height != width:
-                    raise ValueError(
-                        f"layer {op.name!r} saw a non-square {height}x{width} "
-                        "activation map; pass spatial_sizes explicitly")
-                sizes.append(height)
-            spatial_sizes = sizes
-        if array_config is None:
-            if self.array_config is not None:
-                array_config = self.array_config
-            else:
-                array_config = ArrayConfig(
-                    rows=self.array_rows, cols=self.array_cols,
-                    alpha=max(1, self.multiplexing_degree()))
-        system = (self.system if self.system is not None
-                  and array_config is self.array_config
-                  else SystolicSystem(array_config))
-        return system.plan_model(self.packed_layers(), list(spatial_sizes),
-                                 batch=batch)
+        if observed is None or any(op.name not in observed
+                                   for op in self.packed_ops):
+            raise RuntimeError(
+                "no spatial sizes available; pass the observed map from "
+                "forward(..., observed={})")
+        config = self.array_config
+        timing = config.timing
+        layers = []
+        for op in self.packed_ops:
+            height, width = observed[op.name]
+            if height != width:
+                raise ValueError(
+                    f"layer {op.name!r} saw a non-square {height}x{width} "
+                    "activation map")
+            layers.append(layer_execution(
+                op.name, op.packed, op.geometry(config), height,
+                words_per_sample(height, batch), timing))
+        return ModelExecutionPlan(layers)
 
 
 # -- compilation --------------------------------------------------------------

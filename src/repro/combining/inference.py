@@ -340,8 +340,8 @@ class PackedModel:
         """Per-layer (H, W) recorded by the last forward (possibly partial).
 
         Unlike :meth:`observed_spatial_sizes` this never raises — it is
-        the raw observation record, used e.g. by the serving layer to key
-        its plan cache on the spatial shapes a batch actually ran at.
+        the raw observation record of the spatial shapes the last forward
+        actually ran at.
         """
         return dict(self._observed_spatial)
 

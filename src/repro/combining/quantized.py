@@ -78,7 +78,12 @@ from repro.combining.pipeline import PackingPipeline, PipelineConfig, PipelineRe
 from repro.nn import Module
 from repro.quant.linear import CALIBRATIONS, LinearQuantizer
 from repro.systolic.array import ArrayConfig
-from repro.systolic.system import ModelExecutionPlan, SystolicSystem
+from repro.systolic.system import (
+    LayerExecution,
+    ModelExecutionPlan,
+    SystolicSystem,
+    layer_execution,
+)
 
 #: Bit widths the bit-serial MX cells support (the paper's design space).
 MIN_BITS, MAX_BITS = 2, 8
@@ -146,13 +151,14 @@ class _LayerStats:
         self.num_tiles = 0
         self.cycles = 0
 
-    def accumulate(self, inputs: np.ndarray, info: dict,
+    def accumulate(self, inputs: np.ndarray, saturation: float,
+                   execution: LayerExecution,
                    input_quantizer: LinearQuantizer,
                    divergence: np.ndarray | None = None) -> None:
-        self.saturated_inputs += info["input_saturation"] * inputs.size
+        self.saturated_inputs += saturation * inputs.size
         self.input_elements += inputs.size
-        self.num_tiles += info["num_tiles"]
-        self.cycles += info["cycles"]
+        self.num_tiles += execution.num_tiles
+        self.cycles += execution.cycles
         if divergence is None:
             return
         self.tracked = True
@@ -195,18 +201,22 @@ class _QuantizedTap(_LayerTap):
     :class:`_LayerStats` (``stats``; with ``track_errors`` also the
     divergence from the exact shadow computation on the same input) and
     appends its output (``outputs``, for :meth:`QuantizedPackedModel.layer_outputs`).
+    Stats cost each call on ``config``'s array from the layer's tile
+    geometry and the words it streamed.
     """
 
     def __init__(self, observed: dict[str, tuple[int, int]] | None = None,
                  inputs: dict[str, np.ndarray] | None = None,
                  stats: dict[str, _LayerStats] | None = None,
                  track_errors: bool = False,
-                 outputs: dict[str, list[np.ndarray]] | None = None):
+                 outputs: dict[str, list[np.ndarray]] | None = None,
+                 config: ArrayConfig | None = None):
         super().__init__(observed)
         self.inputs = inputs
         self.stats = stats
         self.track_errors = track_errors
         self.outputs = outputs
+        self.config = config
 
     def record(self, op: PackedLayerOp, x: np.ndarray, raw: np.ndarray,
                out: np.ndarray, info: dict | None, elapsed_ns: int) -> None:
@@ -215,13 +225,19 @@ class _QuantizedTap(_LayerTap):
             self.inputs[op.name] = x
         if self.stats is not None:
             assert info is not None and op.input_quantizer is not None
+            assert self.config is not None
+            batch, _, height, width = x.shape
+            execution = layer_execution(
+                op.name, op.packed, op.geometry(self.config), height,
+                batch * height * width, self.config.timing)
             divergence = None
             if self.track_errors:
                 # The exact float layer, as the exact-mode plan computes it.
                 exact = np.einsum("nc,bchw->bnhw", op.realized(), x,
                                   optimize=True)
                 divergence = raw - exact
-            self.stats[op.name].accumulate(x, info, op.input_quantizer,
+            self.stats[op.name].accumulate(x, info["input_saturation"],
+                                           execution, op.input_quantizer,
                                            divergence=divergence)
         if self.outputs is not None:
             self.outputs[op.name].append(out)
@@ -400,7 +416,8 @@ class QuantizedPackedModel:
         self.packed._observed_spatial = {}
         tap = _QuantizedTap(observed=self.packed._observed_spatial,
                             stats=self._stats, track_errors=track_errors,
-                            outputs=self._last_layer_outputs)
+                            outputs=self._last_layer_outputs,
+                            config=plan.array_config)
         return plan._run(activations, "quantized", batch_size,
                          batch_invariant, tap)
 

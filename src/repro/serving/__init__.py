@@ -23,7 +23,8 @@ the resident packed model.  This package is that serving layer:
 * :mod:`~repro.serving.server` —
   :class:`~repro.serving.server.InferenceServer`: drain threads over the
   batcher with per-request latency accounting and per-batch systolic
-  cycle accounting, plus graceful drain-and-join shutdown.  The
+  cycle accounting (from each packed layer's tile geometry, with no
+  per-batch-size cache), plus graceful drain-and-join shutdown.  The
   ``backend`` knob picks where forwards run (see below); ``profile``
   and ``trace_capacity`` opt into the observability layer.
 * :mod:`~repro.serving.procpool` —

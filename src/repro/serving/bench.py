@@ -208,7 +208,7 @@ def throughput_benchmark(loaded: PackedModel | QuantizedPackedModel,
     Every sample becomes one single-sample request.  The returned mapping
     carries both wall times, both throughputs (requests/second), the
     speedup, the servers' batch-size accounting, the batched server's
-    plan-cache hit/miss totals, the batched run's queued / service
+    systolic cycles, the batched run's queued / service
     latency digests (p50/p90/p99 from the server's mergeable histograms)
     and flush-reason split, and ``bit_identical_to_direct`` — whether
     every batched response matched the direct ``forward`` call on its own
@@ -253,7 +253,6 @@ def throughput_benchmark(loaded: PackedModel | QuantizedPackedModel,
         "sequential_mean_batch": sequential_stats["totals"]["mean_batch_size"],
         "batched_mean_batch": batched_stats["totals"]["mean_batch_size"],
         "batched_cycles": batched_stats["totals"]["cycles"],
-        "batched_plan_cache": batched_stats["totals"]["plan_cache"],
         "queued_seconds": batched_stats["totals"]["queued_seconds"],
         "service_seconds": batched_stats["totals"]["service_seconds"],
         "flush_reasons": batched_stats["totals"]["flush_reasons"],

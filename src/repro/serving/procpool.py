@@ -53,9 +53,7 @@ from repro.utils.lru import LRUCache
 #: How many distinct ``(path, fingerprint)`` entries one worker
 #: keeps resident.  Plans are the expensive part (they pin the mmap'd
 #: arrays), and a worker serving a registry that hot-swaps artifacts
-#: would otherwise accumulate every superseded generation forever.  Each
-#: entry's accounting cache is bounded too (``ACCOUNTING_PLAN_CACHE_SIZE``
-#: in :mod:`repro.serving.registry`).
+#: would otherwise accumulate every superseded generation forever.
 PLAN_CACHE_SIZE = 4
 
 #: Per-process cache: ``(artifact path, content fingerprint)`` ->
@@ -109,18 +107,13 @@ def _run_plan_batch(path: str, mode: str, batch: np.ndarray,
                     fingerprint: str | None = None,
                     profile: bool = False,
                     model_name: str | None = None
-                    ) -> tuple[np.ndarray, int, int, bool | None,
-                               dict[str, Any] | None]:
-    """One serving forward inside a worker:
-    ``(outputs, cycles, tiles, plan_cache_hit, obs)``.
+                    ) -> tuple[np.ndarray, int, int, dict[str, Any] | None]:
+    """One serving forward inside a worker: ``(outputs, cycles, tiles, obs)``.
 
     Runs :meth:`~repro.serving.registry.ResidentModel.serve_batch` — the
     thread backend's executor — on this worker's cached entry for the
     artifact, so the forward, the profile recording and the best-effort
-    systolic accounting are the thread backend's own.  The hit flag
-    reflects *this worker's* accounting cache: each process pays its own
-    misses, so the server-side hit/miss totals expose how much accounting
-    work the process backend duplicates across workers.
+    systolic accounting are the thread backend's own.
 
     ``fingerprint`` is the content token the registry probed for the
     artifact; the cache keys on it, and a cache miss re-verifies it
@@ -137,7 +130,7 @@ def _run_plan_batch(path: str, mode: str, batch: np.ndarray,
     resident = _resident_for(path, fingerprint, mode)
     result = resident.serve_batch(batch, _WORKER_METRICS if profile else None,
                                   label=model_name, mode=mode)
-    obs = result[4]
+    obs = result[3]
     if obs is not None:
         obs.update(pid=os.getpid(), snapshot=_WORKER_METRICS.snapshot())
     return result
@@ -180,10 +173,9 @@ class ProcessWorkerPool:
     def run(self, path: str | Path, mode: str, batch: np.ndarray,
             fingerprint: str | None = None, profile: bool = False,
             model_name: str | None = None
-            ) -> tuple[np.ndarray, int, int, bool | None,
-                       dict[str, Any] | None]:
+            ) -> tuple[np.ndarray, int, int, dict[str, Any] | None]:
         """Run one batch in a worker process; returns
-        ``(outputs, cycles, tiles, plan_cache_hit, obs)``.
+        ``(outputs, cycles, tiles, obs)``.
 
         ``fingerprint`` pins which artifact *content* the worker must
         serve — its plan cache keys on it, so a swap-updated registry is

@@ -65,16 +65,9 @@ from repro.combining.serialization import (
 )
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
-from repro.systolic.system import ModelExecutionPlan
-from repro.utils.lru import LRUCache
 
 #: Forward modes a registered model can serve under — the plan's modes.
 SERVING_MODES: tuple[str, ...] = PLAN_MODES
-
-#: Bound on each resident model's systolic accounting-plan cache — its
-#: key space (batch size x observed spatial map) is unbounded under
-#: varied traffic, and the plans themselves are only accounting.
-ACCOUNTING_PLAN_CACHE_SIZE = 32
 
 #: ``((layer name, (rows, cols)), ...)`` — the per-layer shape skeleton
 #: a swap target must reproduce.
@@ -171,18 +164,12 @@ class ResidentModel:
         #: it belongs to — stamped by the registry, bumped per swap.
         self.fingerprint: str | None = None
         self.generation = 1
-        self._plans_lock = threading.Lock()
-        #: LRU-bounded: the (batch size, spatial map) key space is
-        #: unbounded under varied traffic.
-        self._plans: LRUCache = LRUCache(ACCOUNTING_PLAN_CACHE_SIZE)
 
     def serve_batch(self, batch: np.ndarray,
                     metrics: MetricsRegistry | None = None,
                     label: str | None = None, mode: str | None = None
-                    ) -> tuple[np.ndarray, int, int, bool | None,
-                               dict[str, Any] | None]:
-        """Serve one coalesced batch: ``(outputs, cycles, tiles,
-        plan_cache_hit, obs)``.
+                    ) -> tuple[np.ndarray, int, int, dict[str, Any] | None]:
+        """Serve one coalesced batch: ``(outputs, cycles, tiles, obs)``.
 
         The one batch executor of both serving backends — a drain thread
         calls it on the registry's resident entry, a worker process on
@@ -190,11 +177,13 @@ class ResidentModel:
         batch-invariant plan forward (what makes dynamic batching
         bit-transparent — see
         :meth:`repro.combining.execplan.ExecutionPlan.forward`) and
-        costs the batch on the systolic timing model through
-        :meth:`batch_plan`.  Accounting is best effort: a timing-model
-        failure (e.g. non-square activation maps) must not fail a batch
-        whose forward already succeeded, so it reports zero cycles and
-        tiles and ``plan_cache_hit=None`` instead.
+        costs the batch on the systolic timing model
+        (:meth:`~repro.combining.execplan.ExecutionPlan.execution_plan`:
+        each layer's cached tile geometry and the words this batch
+        streamed through it, no per-batch-size cache).  Accounting is
+        best effort: a timing-model failure (e.g. non-square activation
+        maps) must not fail a batch whose forward already succeeded, so
+        it reports zero cycles and tiles instead.
 
         ``metrics`` opts into per-layer profiling (wrapping only; the
         outputs stay bit-identical): the batch's layer and forward wall
@@ -230,41 +219,11 @@ class ResidentModel:
                             labels={"model": model}).inc()
             obs = {"layer_ns": layer_ns, "forward_ns": forward_ns}
         try:
-            plan, cache_hit = self.batch_plan(batch.shape[0], observed)
+            plan = self.plan.execution_plan(observed=observed,
+                                            batch=batch.shape[0])
         except Exception:  # noqa: BLE001 - accounting is best-effort
-            return outputs, 0, 0, None, obs
-        return outputs, plan.total_cycles, plan.total_tiles, cache_hit, obs
-
-    def batch_plan(self, num_samples: int,
-                   observed: dict[str, tuple[int, int]]
-                   ) -> tuple[ModelExecutionPlan, bool]:
-        """The systolic plan for a batch this model ran, and whether it
-        came from the cache.
-
-        ``observed`` is the forward's per-layer spatial map.  Plans are
-        cached per (batch size, observed spatial shapes) — the plan walks
-        the timing model, which would otherwise cost more than a small
-        forward, and spatially flexible models (global-pool classifiers)
-        legitimately serve requests of different map sizes.  The hit flag
-        feeds the server's ``plan_cache`` stats; each process-backend
-        worker holds its own entries and pays its own misses, which those
-        counters make visible.
-        """
-        key = (num_samples, tuple(sorted(observed.items())))
-        with self._plans_lock:
-            plan = self._plans.get(key)
-        if plan is not None:
-            return plan, True
-        plan = self.plan.execution_plan(observed=observed, batch=num_samples)
-        with self._plans_lock:
-            plan = self._plans.setdefault(key, plan)
-        return plan, False
-
-    @property
-    def accounting_cache_size(self) -> int:
-        """How many accounting plans are cached right now (bounded)."""
-        with self._plans_lock:
-            return len(self._plans)
+            return outputs, 0, 0, obs
+        return outputs, plan.total_cycles, plan.total_tiles, obs
 
 
 class ModelRegistry:

@@ -50,7 +50,7 @@ Observability rides along (:mod:`repro.obs`):
   batcher's flush reason -> forward -> respond) retained in a bounded
   ring (:meth:`InferenceServer.traces`).
 * **per batch** — the systolic cycle / tile cost of the batch from the
-  plans' own timing-model machinery (cached per batch size), i.e. what
+  plan's per-layer tile geometry and the batch's size, i.e. what
   the batch would cost on the paper's array rather than on the host CPU
   running the simulation; plus the batcher's flush reason
   (max_batch / max_wait / drain), counted per model.
@@ -126,14 +126,6 @@ class _ModelStats:
     failures: int = 0
     cycles: int = 0
     tiles: int = 0
-    #: Systolic accounting-plan cache hits / misses across backends.  In
-    #: the thread backend the cache is the resident model's; in the
-    #: process backend each worker process has its own cache, so misses
-    #: here add up across workers — exactly the cross-process accounting
-    #: duplication the counters exist to expose.  Batches whose
-    #: accounting failed count in neither bucket.
-    plan_cache_hits: int = 0
-    plan_cache_misses: int = 0
     queued: Histogram = field(default_factory=Histogram)
     service: Histogram = field(default_factory=Histogram)
 
@@ -150,8 +142,6 @@ class _ModelStats:
             "mean_batch_size": self.mean_batch_size,
             "cycles": self.cycles,
             "tiles": self.tiles,
-            "plan_cache": {"hits": self.plan_cache_hits,
-                           "misses": self.plan_cache_misses},
             "queued_seconds": self.queued.summary(),
             "service_seconds": self.service.summary(),
         }
@@ -428,15 +418,13 @@ class InferenceServer:
         # this batch just left the queue.
         self.slo.observe_queue_depth(self.batcher.pending_count())
         cycles = tiles = 0
-        cache_hit: bool | None = None
         obs: dict[str, Any] | None = None
         error_text: str | None = None
         try:
             if self.backend == "process":
-                outputs, cycles, tiles, cache_hit, obs = (
-                    self._forward_process(batch))
+                outputs, cycles, tiles, obs = self._forward_process(batch)
             else:
-                outputs, cycles, tiles, cache_hit, obs = (
+                outputs, cycles, tiles, obs = (
                     self.registry.get(batch.key).serve_batch(
                         batch.stacked(),
                         self._metrics if self.profile else None))
@@ -459,11 +447,6 @@ class InferenceServer:
             stats.batches += 1
             stats.cycles += cycles
             stats.tiles += tiles
-            if cache_hit is not None:
-                if cache_hit:
-                    stats.plan_cache_hits += 1
-                else:
-                    stats.plan_cache_misses += 1
             if failed:
                 stats.failures += len(batch.requests)
             for request in batch:
@@ -490,12 +473,11 @@ class InferenceServer:
                     entry[0] += elapsed_ns
                     entry[1] += 1
         self._record_traces(batch, dispatched, forward_done, finished,
-                            cycles, tiles, cache_hit, obs, failed, error_text)
+                            cycles, tiles, obs, failed, error_text)
 
     def _record_traces(self, batch: Batch, dispatched: float,
                        forward_done: float, finished: float, cycles: int,
-                       tiles: int, cache_hit: bool | None,
-                       obs: dict[str, Any] | None, failed: bool,
+                       tiles: int, obs: dict[str, Any] | None, failed: bool,
                        error_text: str | None) -> None:
         """One trace per request in the batch, into the bounded ring.
 
@@ -509,7 +491,6 @@ class InferenceServer:
         head = batch.requests[0]
         forward_attributes: dict[str, Any] = {
             "backend": self.backend, "cycles": cycles, "tiles": tiles,
-            "plan_cache_hit": cache_hit,
             "batch_samples": batch.num_samples,
         }
         if obs is not None:
@@ -560,12 +541,6 @@ class InferenceServer:
             "failures": sum(s["failures"] for s in per_model.values()),
             "cycles": sum(s["cycles"] for s in per_model.values()),
             "tiles": sum(s["tiles"] for s in per_model.values()),
-            "plan_cache": {
-                "hits": sum(s["plan_cache"]["hits"]
-                            for s in per_model.values()),
-                "misses": sum(s["plan_cache"]["misses"]
-                              for s in per_model.values()),
-            },
         }
         batches = totals["batches"]
         totals["mean_batch_size"] = totals["samples"] / batches if batches else 0.0

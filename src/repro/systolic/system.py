@@ -22,6 +22,7 @@ Two levels of fidelity are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -29,8 +30,8 @@ from repro.combining.packing import PackedFilterMatrix
 from repro.quant.linear import LinearQuantizer
 from repro.systolic.array import ArrayConfig
 from repro.systolic.blocks import ReluQuantBlock, ShiftBlock
-from repro.systolic.tiles import TiledMatmul, pipelined_cycles, tile_geometry
-from repro.systolic.timing import words_per_sample
+from repro.systolic.tiles import TiledMatmul, TileGeometry, tile_geometry
+from repro.systolic.timing import CellTiming, words_per_sample
 
 
 @dataclass
@@ -84,6 +85,43 @@ class ModelExecutionPlan:
         return self.total_useful_macs / occupied
 
 
+def layer_execution(name: str, packed: PackedFilterMatrix,
+                    tiles: Sequence[TileGeometry], spatial_size: int,
+                    words: int, timing: CellTiming) -> LayerExecution:
+    """One packed layer's planned execution, from its tile geometry.
+
+    Each tile streams ``words`` data words (``batch * H * W``), back to
+    back with overlapped weight loads: the arithmetic of
+    :meth:`~repro.systolic.tiles.TileGeometry.execution` and
+    :func:`~repro.systolic.tiles.pipelined_cycles`, in integers only, as
+    serving costs every batch with it.  ``spatial_size`` is only recorded.
+    """
+    stream_and_drain = (words * timing.effective_cycles_per_word
+                        + timing.accumulation_bits)
+    cycles = nonzeros = cells = 0
+    for index, tile in enumerate(tiles):
+        rows = tile.row_end - tile.row_start
+        cols = tile.col_end - tile.col_start
+        matmul = ((rows + cols - 2) * timing.skew_clocks + stream_and_drain
+                  if words else 0)
+        weight_load = rows * timing.input_bits
+        cycles += (weight_load + matmul if index == 0
+                   else max(matmul, weight_load))
+        nonzeros += tile.nonzeros
+        cells += rows * cols
+    return LayerExecution(
+        name=name,
+        rows=packed.num_rows,
+        packed_columns=packed.num_groups,
+        original_columns=packed.original_shape[1],
+        spatial_size=spatial_size,
+        num_tiles=len(tiles),
+        cycles=cycles,
+        useful_macs=nonzeros * words,
+        occupied_macs=cells * words,
+    )
+
+
 class SystolicSystem:
     """The full systolic array system of Figure 6 (array + shift + ReLU blocks)."""
 
@@ -98,20 +136,10 @@ class SystolicSystem:
         """Tile counts, cycles, and MAC counts for one packed layer."""
         if packed.multiplexing_degree() > self.config.alpha:
             raise ValueError("packing exceeds the array's MX multiplexing degree")
-        words = words_per_sample(spatial_size, batch)
-        executions = [tile.execution(words, self.config.timing)
-                      for tile in tile_geometry(packed.weights, self.config)]
-        return LayerExecution(
-            name=name,
-            rows=packed.num_rows,
-            packed_columns=packed.num_groups,
-            original_columns=packed.original_shape[1],
-            spatial_size=spatial_size,
-            num_tiles=len(executions),
-            cycles=pipelined_cycles(executions),
-            useful_macs=sum(e.useful_macs for e in executions),
-            occupied_macs=sum(e.occupied_macs for e in executions),
-        )
+        return layer_execution(name, packed,
+                               tile_geometry(packed.weights, self.config),
+                               spatial_size, words_per_sample(spatial_size, batch),
+                               self.config.timing)
 
     def plan_model(self, packed_layers: list[tuple[str, PackedFilterMatrix]],
                    spatial_sizes: list[int], batch: int = 1) -> ModelExecutionPlan:

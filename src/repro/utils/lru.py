@@ -1,11 +1,10 @@
-"""A small least-recently-used mapping for bounded accounting caches.
+"""A small least-recently-used mapping for bounded caches.
 
-Serving keeps several caches whose key spaces are unbounded in
-production — systolic accounting plans keyed by (batch size, observed
-spatial map), worker-process plan caches keyed by (artifact path,
-content fingerprint) — and under varied traffic (or repeated hot swaps)
-a plain dict grows without limit.  :class:`LRUCache` is the bound: a
-dict with capped size that evicts the least recently touched entry.
+Serving's worker-process plan caches are keyed by (artifact path,
+content fingerprint), a key space that is unbounded in production: under
+repeated hot swaps a plain dict grows without limit.  :class:`LRUCache`
+is the bound: a dict with capped size that evicts the least recently
+touched entry.
 
 Not thread-safe on its own; callers that share one instance across
 threads guard it with their own lock (the worker-process caches are
@@ -46,13 +45,6 @@ class LRUCache:
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
         return value
-
-    def setdefault(self, key: Hashable, value: Any) -> Any:
-        """Like ``dict.setdefault`` with recency refresh and eviction."""
-        existing = self.get(key, default=None)
-        if existing is not None:
-            return existing
-        return self.put(key, value)
 
     def __len__(self) -> int:
         return len(self._entries)

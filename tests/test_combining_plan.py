@@ -236,7 +236,7 @@ def test_quantized_plan_matches_run_layer_oracle(name, bits, array):
     assert plan.bits == bits
     assert "quantized" in plan.modes
     if array is not None:
-        assert any(len(op.integer_realized(plan.array_config)[1]) > 1
+        assert any(len(op.geometry(plan.array_config)) > 1
                    for op in plan.packed_ops)
     infos: dict[str, list] = {}
     expected = quantized_reference(quantized, images, infos=infos)
@@ -292,7 +292,7 @@ def test_quantized_forward_never_runs_the_datapath_model(monkeypatch,
     assert_same_bits(plan.forward(images, mode="quantized"), expected)
     assert_same_bits(quantized_lenet5.forward(images), expected)
     resident = ResidentModel("lenet5", "quantized", plan)
-    served, cycles, tiles, _, _ = resident.serve_batch(images)
+    served, cycles, tiles, _ = resident.serve_batch(images)
     assert_same_bits(served, expected_served)
     assert cycles > 0 and tiles > 0
 

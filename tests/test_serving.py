@@ -37,6 +37,9 @@ from repro.serving import (
     SERVING_MODES,
 )
 from repro.serving.batcher import Batch, PendingRequest
+from repro.serving.registry import ResidentModel
+from repro.systolic.array import ArrayConfig
+from repro.systolic.system import SystolicSystem
 from tests.conftest import rewrite_as_v1
 
 ENGINE_COMBOS = [(grouping, prune)
@@ -409,25 +412,66 @@ def test_registry_quantized_mode_requires_quantized_artifact(tmp_path, packed):
         registry.get("m")
 
 
-def test_resident_batch_plan_tracks_spatial_sizes():
-    """Cycle accounting distinguishes batches of different map sizes."""
+@pytest.fixture(scope="module")
+def packed_resnet20() -> PackedModel:
+    """A small sparsified resnet20: global pooling serves any map size."""
     model = build_model("resnet20", in_channels=3, num_classes=10, scale=0.25,
                         rng=np.random.default_rng(0))
     rng = np.random.default_rng(1)
     for _, layer in model.packable_layers():
         layer.weight.data *= rng.random(layer.weight.data.shape) < 0.5
-    packed = PackedModel.from_model(model, PipelineConfig(alpha=4, gamma=0.5))
+    return PackedModel.from_model(model, PipelineConfig(alpha=4, gamma=0.5))
+
+
+def test_resident_batch_plan_tracks_spatial_sizes(packed_resnet20):
+    """Cycle accounting distinguishes batches of different map sizes."""
     registry = ModelRegistry()
-    registry.add("rn", packed)
+    registry.add("rn", packed_resnet20)
     resident = registry.get("rn")
-    _, small_cycles, _, small_hit, _ = resident.serve_batch(
-        rng.normal(size=(2, 3, 8, 8)))
-    _, large_cycles, _, large_hit, _ = resident.serve_batch(
-        rng.normal(size=(2, 3, 16, 16)))
-    assert large_cycles > small_cycles
-    # Same batch size, different maps: two accounting plans, not one.
-    assert small_hit is False and large_hit is False
-    assert resident.accounting_cache_size == 2
+    rng = np.random.default_rng(1)
+    small = resident.serve_batch(rng.normal(size=(2, 3, 8, 8)))
+    large = resident.serve_batch(rng.normal(size=(2, 3, 16, 16)))
+    assert len(small) == len(large) == 4
+    _, small_cycles, small_tiles, small_obs = small
+    _, large_cycles, large_tiles, large_obs = large
+    assert large_cycles > small_cycles > 0
+    # The tiles are the layers' fixed geometry; only the words change.
+    assert large_tiles == small_tiles > 0
+    assert small_obs is None and large_obs is None
+
+
+def test_serve_batch_cost_matches_plan_model_oracle(packed, packed_resnet20):
+    """Every served batch is costed from per-layer tile geometry: cycles
+    and tiles equal ``SystolicSystem.plan_model`` on the plan's array for
+    batch sizes 1-16, float and quantized, at every map size served."""
+    quantized = QuantizedPackedModel(
+        packed, bits=8,
+        array_config=ArrayConfig(rows=8, cols=8,
+                                 alpha=max(1, packed.multiplexing_degree())))
+    quantized.calibrate(np.random.default_rng(7).normal(size=(16, 1, 8, 8)))
+    resnet20 = ResidentModel("rn", "exact", packed_resnet20.compile_plan())
+    quantized_8x8 = ResidentModel("q8", "quantized", quantized.compile_plan())
+    cases = [(ResidentModel("lenet5", "exact", packed.compile_plan()), (1, 8)),
+             (resnet20, (3, 8)), (resnet20, (3, 12)), (quantized_8x8, (1, 8))]
+    rng = np.random.default_rng(2)
+    for resident, (channels, side) in cases:
+        plan = resident.plan
+        observed: dict = {}
+        plan.forward(rng.normal(size=(1, channels, side, side)),
+                     observed=observed)
+        sizes = [observed[name][0] for name in plan.layer_names()]
+        oracle = SystolicSystem(plan.array_config)
+        for batch_size in range(1, 17):
+            _, cycles, tiles, _ = resident.serve_batch(
+                rng.normal(size=(batch_size, channels, side, side)))
+            expected = oracle.plan_model(plan.packed_layers(), sizes,
+                                         batch=batch_size)
+            assert (cycles, tiles) == (expected.total_cycles,
+                                       expected.total_tiles)
+    q8_plan = quantized_8x8.plan
+    assert (q8_plan.array_config.rows, q8_plan.array_config.cols) == (8, 8)
+    assert any(len(op.geometry(q8_plan.array_config)) > 1
+               for op in q8_plan.packed_ops)
 
 
 def save_matrix_only(path: Path) -> Path:
@@ -823,52 +867,6 @@ def test_server_stats_account_requests_batches_and_latency(packed):
     assert all(request.queued_seconds is not None
                and request.service_seconds is not None
                for request in pending)
-
-
-def test_server_stats_expose_plan_cache_hit_rates(packed):
-    """Thread backend: every batch resolves one accounting plan, and
-    repeated (batch size, spatial shape) keys hit the resident model's
-    plan cache — totals must add up exactly."""
-    registry = ModelRegistry()
-    registry.add("m", packed)
-    stream = request_stream(10, seed=11, max_request=1)  # one shape only
-    with InferenceServer(registry, max_batch=1, max_wait=0.0) as server:
-        for batch in stream:
-            server.submit("m", batch).result(30.0)
-        stats = server.stats()
-    totals = stats["totals"]
-    plan_cache = totals["plan_cache"]
-    assert plan_cache["hits"] + plan_cache["misses"] == totals["batches"]
-    # One sample per batch, one spatial shape: exactly one plan compile.
-    assert plan_cache["misses"] == 1
-    assert plan_cache["hits"] == totals["batches"] - 1
-    per_model = stats["per_model"]["m"]["plan_cache"]
-    assert per_model == plan_cache
-
-
-@pytest.mark.slow
-def test_process_backend_plan_caches_pay_per_worker_misses(tmp_path, packed):
-    """Process backend: each worker process owns a private plan cache, so
-    misses duplicate across workers — the stats make that visible (the
-    totals still add up to the batch count)."""
-    path = save_packed(packed, tmp_path / "m.npz", model_spec=MODEL_SPEC,
-                       compress=False)
-    registry = ModelRegistry()
-    registry.register("m", path=path)
-    workers = 2
-    stream = request_stream(12, seed=13, max_request=1)
-    with InferenceServer(registry, max_batch=1, max_wait=0.0,
-                         workers=workers, backend="process") as server:
-        pending = [server.submit("m", batch) for batch in stream]
-        for request in pending:
-            request.result(60.0)
-        stats = server.stats()
-    totals = stats["totals"]
-    plan_cache = totals["plan_cache"]
-    assert plan_cache["hits"] + plan_cache["misses"] == totals["batches"]
-    # One shape served: between 1 (one worker drained everything) and
-    # one miss per worker's private cache.
-    assert 1 <= plan_cache["misses"] <= workers
 
 
 @pytest.mark.slow

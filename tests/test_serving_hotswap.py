@@ -40,7 +40,6 @@ from repro.serving.procpool import (
     _PLAN_CACHE,
     _run_plan_batch,
 )
-from repro.serving.registry import ACCOUNTING_PLAN_CACHE_SIZE, ResidentModel
 from repro.utils.lru import LRUCache
 
 MODEL_KWARGS = {"in_channels": 1, "num_classes": 10, "scale": 1.0,
@@ -331,7 +330,7 @@ def test_swap_live_rejects_architecture_mismatch(artifacts):
         registry.swap_live("m", build_packed(seed=4, scale=0.5))
 
 
-# -- bounded accounting caches -----------------------------------------------
+# -- bounded caches -----------------------------------------------------------
 def test_lru_cache_bounds_and_refreshes_recency():
     cache = LRUCache(2)
     cache.put("a", 1)
@@ -340,26 +339,13 @@ def test_lru_cache_bounds_and_refreshes_recency():
     cache.put("c", 3)
     assert len(cache) == 2
     assert "b" not in cache and "a" in cache and "c" in cache
-    assert cache.setdefault("c", 99) == 3
     with pytest.raises(ValueError, match="maxsize"):
         LRUCache(0)
 
 
-def test_resident_accounting_cache_is_bounded(packed_old):
-    resident = ResidentModel("m", "exact", packed_old.compile_plan())
-    rng = np.random.default_rng(0)
-    for num_samples in range(1, ACCOUNTING_PLAN_CACHE_SIZE + 9):
-        resident.serve_batch(rng.normal(size=(num_samples, 1, 8, 8)))
-    assert resident.accounting_cache_size <= ACCOUNTING_PLAN_CACHE_SIZE
-    # The hot key stays resident across the churn.
-    hot = rng.normal(size=(ACCOUNTING_PLAN_CACHE_SIZE + 8, 1, 8, 8))
-    assert resident.serve_batch(hot)[3] is True
-
-
 def test_worker_process_caches_are_bounded(tmp_path, packed_old):
-    """The worker-module caches (exercised here in-process) stay within
-    their bounds under many generations and batch sizes: the resident
-    entries per artifact generation, and each entry's accounting plans."""
+    """The worker-module plan cache (exercised here in-process) stays
+    within its bound under many artifact generations."""
     _PLAN_CACHE.clear()
     paths = []
     for index in range(PLAN_CACHE_SIZE + 2):
@@ -371,15 +357,6 @@ def test_worker_process_caches_are_bounded(tmp_path, packed_old):
         _run_plan_batch(str(path), "exact", batch,
                         fingerprint=artifact_fingerprint(path))
     assert len(_PLAN_CACHE) <= PLAN_CACHE_SIZE
-    hot = paths[-1]
-    fingerprint = artifact_fingerprint(hot)
-    for batch_size in range(1, ACCOUNTING_PLAN_CACHE_SIZE + 6):
-        _run_plan_batch(str(hot), "exact",
-                        rng.normal(size=(batch_size, 1, 8, 8)),
-                        fingerprint=fingerprint)
-    assert len(_PLAN_CACHE) <= PLAN_CACHE_SIZE
-    resident = _PLAN_CACHE.get((str(hot), fingerprint))
-    assert resident.accounting_cache_size <= ACCOUNTING_PLAN_CACHE_SIZE
     _PLAN_CACHE.clear()
 
 

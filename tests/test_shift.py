@@ -35,7 +35,7 @@ from repro.systolic import ShiftBlock
 
 CHANNEL_COUNTS = (1, 8, 9, 10, 17, 64)
 SHAPES = ((5, 5), (1, 6), (6, 1), (1, 1), (3, 7), (12, 12))
-EXACT = _Ctx(mode="exact", batch_invariant=False, system=None, tap=None)
+EXACT = _Ctx(mode="exact", batch_invariant=False, tap=None)
 
 
 def loop_shift(x: np.ndarray, assignment: np.ndarray,

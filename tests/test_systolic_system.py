@@ -8,6 +8,8 @@ import pytest
 from repro.combining import group_columns, pack_filter_matrix
 from repro.nn import PointwiseConv2d, Shift2d
 from repro.systolic import ArrayConfig, SystolicSystem
+from repro.systolic.system import layer_execution
+from repro.systolic.tiles import tile_geometry
 
 
 def packed_layer(rng, rows=24, cols=16, density=0.25, alpha=8, gamma=0.5):
@@ -40,6 +42,28 @@ def test_plan_layer_matches_a_tiled_multiply_at_the_real_word_count(rng, array):
     assert execution.cycles == result.total_cycles
     assert execution.useful_macs == result.useful_macs
     assert execution.occupied_macs == result.occupied_macs
+
+
+@pytest.mark.parametrize("config", [
+    ArrayConfig(rows=8, cols=5, alpha=8),
+    ArrayConfig(rows=16, cols=8, alpha=8, interleaved=False),
+    ArrayConfig(rows=8, cols=8, alpha=8, input_bits=4, accumulation_bits=16,
+                interleaved=False),
+], ids=["interleaved", "unbalanced", "narrow"])
+def test_layer_execution_matches_the_tiled_multiply(rng, config):
+    """The integer-only tile -> layer arithmetic reports what a tiled
+    multiply over the same words does, empty streams included."""
+    _, packed = packed_layer(rng, rows=40, cols=30, density=0.2)
+    tiles = tile_geometry(packed.weights, config)
+    for words in (0, 1, 7):
+        execution = layer_execution("layer", packed, tiles, 1, words,
+                                    config.timing)
+        result = SystolicSystem(config).tiled.multiply_packed(
+            packed, np.zeros((30, words)))
+        assert execution.num_tiles == result.num_tiles > 1
+        assert execution.cycles == result.total_cycles
+        assert execution.useful_macs == result.useful_macs
+        assert execution.occupied_macs == result.occupied_macs
 
 
 def test_plan_layer_checks_the_multiplexing_degree(rng):
