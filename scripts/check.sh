@@ -34,7 +34,7 @@ python -m pytest -x -q -m "not slow" tests/test_combining_serialization.py \
 echo "== execution-plan differential suite (plan vs dense oracle, V2/mmap loads) =="
 python -m pytest -x -q -m "not slow" tests/test_combining_plan.py
 
-echo "== batch-invariant kernel suite (blocked kernels vs einsum reference) =="
+echo "== batch-invariant kernel suite (blocked kernels vs einsum reference and per-sample loop) =="
 python -m pytest -x -q tests/test_combining_kernels.py
 
 echo "== observability suites (metrics/tracing/logging + serving obs) =="
@@ -46,7 +46,8 @@ python -m pytest -x -q -m "not slow" tests/test_obs_operational.py
 
 echo "== fast test suite (pytest -m 'not slow') =="
 quick_start=$(date +%s)
-python -m pytest -x -q -m "not slow" \
+# --durations names the slowest tests, so a budget breach shows its cause.
+python -m pytest -x -q -m "not slow" --durations=5 \
     --ignore=tests/test_combining_grouping_engines.py \
     --ignore=tests/test_combining_pruning_engines.py \
     --ignore=tests/test_combining_inference.py \

@@ -26,10 +26,12 @@ that does not use the plan (``tests/test_combining_plan.py``):
 * ``mode="mx"`` runs the MX-cell routing and matches that dense forward
   up to float summation order.
 * ``mode="quantized"`` runs each packed layer as **one exact integer
-  GEMM**: the input is quantized once with the frozen input quantizer,
-  multiplied by the layer's dense integer weights (the frozen weight
-  quantizer's integers, built once per op) in a single float64 matmul,
-  and dequantized by ``acc * (input_scale * weight_scale)``.  It is
+  GEMM**: the input is quantized once with the frozen input quantizer
+  straight into the GEMM's integer-valued float64 ``(C, B*H*W)``
+  operand (no int64 round trip), multiplied by the layer's dense integer
+  weights (the frozen weight quantizer's integers, built once per op) in
+  a single float64 matmul, and dequantized by
+  ``acc * (input_scale * weight_scale)``.  It is
   **bit-identical** to running every packed layer of the nn model through
   :meth:`~repro.systolic.system.SystolicSystem.run_layer`, the tiled
   datapath model, with the same quantizers.  The reason: the operands are
@@ -360,9 +362,11 @@ class PackedLayerOp:
         assert self.input_quantizer is not None
         assert self.weight_quantizer is not None
         batch, channels, height, width = x.shape
-        data = x.transpose(1, 0, 2, 3).reshape(channels, -1)
-        data_int, saturation = self.input_quantizer.quantize_with_saturation(data)
-        acc = self.integer_realized() @ data_int.astype(np.float64)
+        # Quantizing the transposed view writes a C-order (C, B, H, W)
+        # buffer, so the GEMM operand needs no copy of its own.
+        data_int, saturation = self.input_quantizer.quantize_with_saturation(
+            x.transpose(1, 0, 2, 3))
+        acc = self.integer_realized() @ data_int.reshape(channels, -1)
         acc *= self.input_quantizer.scale * self.weight_quantizer.scale
         raw = acc.reshape(-1, batch, height, width).transpose(1, 0, 2, 3)
         return raw, saturation

@@ -31,7 +31,12 @@ Three pinned choices make the blocked kernels batch-invariant:
    :data:`M_TILE`, zero-padding the final partial tile, so every call is
    ``(M_TILE, k_block) @ (k_block, n)``.  BLAS never sees the batch
    size, so it cannot choose a different kernel or blocking for
-   different batch sizes.
+   different batch sizes.  The per-sample gemms of a pointwise layer are
+   issued as one stacked ``np.matmul`` over the ``(batch, c, H*W)``
+   planes: numpy's matmul loop picks its kernel once, from the core
+   shapes and strides (never the stack length), and calls it on every
+   stack element, so the stack is the per-sample loop without its
+   Python dispatch.
 2. **Fixed reduction blocks.**  The reduction axis is split at the
    multiples of :data:`K_BLOCK` (see :func:`kernel_schedule`), a
    function of the weight shape only.
@@ -66,12 +71,15 @@ kernels against (``np.allclose`` tight); serving itself only ever runs
 the blocked kernels, so responses are bit-identical across batch
 coalescing, worker counts, and execution backends.
 
-Measured on the ResNet-20 serving shapes (see
-``benchmarks/test_bench_serving.py``): the blocked pointwise kernel runs
-~3.8x faster than the einsum loops per forward — and, because the
-per-sample gemm avoids the batched einsum's internal transposes, it
-matches or beats the unconstrained ``optimize=True`` dispatch there;
-the residual gap to raw BLAS is confined to the padded dense tiles.
+Measured on the ResNet-20 serving shapes (2-core host, one BLAS thread):
+a 16-sample pointwise layer takes one stacked call instead of 16
+per-sample ones, 36 vs 100 µs at 16 channels on 12x12 and 54 vs 115 µs
+at 64 channels on 3x3, with the same bytes; a single sample costs about
+the same either way (11 µs at 16 channels on 12x12).  Because each gemm
+works on a sample's contiguous channel plane, the kernel needs none of
+the batched einsum's internal transposes (see
+``benchmarks/test_bench_serving.py`` for the kernel against the einsum
+loops and the unconstrained ``optimize=True`` dispatch).
 """
 
 from __future__ import annotations
@@ -180,12 +188,13 @@ def invariant_conv_pointwise(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
 
     ``x`` is an NCHW activation batch, ``weight`` an
     ``(out_channels, in_channels)`` filter matrix; returns the NCHW
-    result of contracting the channel axis.  It runs one
-    k-blocked ``(n, c) @ (c, H*W)`` gemm per sample — a dispatch shape
-    built from channel and spatial dimensions only, never the batch, and
-    one that needs no layout transposes at all (each sample's channel
-    plane is already a contiguous ``(c, H*W)`` matrix).  Same bit
-    contract as :func:`invariant_matmul`.
+    result of contracting the channel axis.  Each reduction block of
+    :func:`kernel_schedule` is one stacked ``np.matmul`` that runs the
+    same ``(n, c) @ (c, H*W)`` gemm on every sample — a core shape built
+    from channel and spatial dimensions only, never the batch, and one
+    that needs no layout transposes at all (each sample's channel plane
+    is already a contiguous ``(c, H*W)`` matrix).  Later blocks are
+    added left to right.  Same bit contract as :func:`invariant_matmul`.
     """
     x = np.asarray(x)
     weight = np.asarray(weight)
@@ -203,17 +212,15 @@ def invariant_conv_pointwise(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
         return out
     # Same layout canonicalization as _blocked_matmul (see comment there).
     weight = np.ascontiguousarray(weight, dtype=dtype)
-    pixels = height * width
+    planes = np.ascontiguousarray(x, dtype=dtype).reshape(
+        batch, channels, height * width)
+    target = out.reshape(batch, n_out, height * width)
     schedule = kernel_schedule(channels)
-    for index in range(batch):
-        plane = np.ascontiguousarray(x[index], dtype=dtype).reshape(channels,
-                                                                    pixels)
-        target = out[index].reshape(n_out, pixels)
-        first_start, first_stop = schedule[0]
-        np.matmul(weight[:, first_start:first_stop],
-                  plane[first_start:first_stop], out=target)
-        for block_start, block_stop in schedule[1:]:
-            target += weight[:, block_start:block_stop] @ plane[block_start:block_stop]
+    first_start, first_stop = schedule[0]
+    np.matmul(weight[:, first_start:first_stop],
+              planes[:, first_start:first_stop], out=target)
+    for block_start, block_stop in schedule[1:]:
+        target += weight[:, block_start:block_stop] @ planes[:, block_start:block_stop]
     return out
 
 

@@ -13,7 +13,8 @@ re-packing:
   from it), the array geometry, the
   :class:`~repro.combining.pipeline.PipelineConfig` the packing ran
   under, and — for :class:`~repro.combining.quantized.QuantizedPackedModel` —
-  the frozen per-layer calibration scales.
+  the frozen per-layer calibration scales and the systolic array
+  configuration its cycles are costed on.
 * **Everything the host needs** — the nn model's full parameter state
   (:func:`repro.nn.serialization.state_dict`) plus an optional
   ``model_spec`` (``{"name": ..., "kwargs": {...}}`` for
@@ -94,6 +95,7 @@ from repro.nn import Module
 from repro.nn.layers import BatchNorm2d
 from repro.nn.serialization import load_state_dict, state_dict
 from repro.quant.linear import LinearQuantizer
+from repro.systolic.array import ArrayConfig
 
 #: Version stamp written into every artifact.  Bump on any layout change;
 #: readers refuse versions outside :data:`SUPPORTED_FORMAT_VERSIONS` with
@@ -105,6 +107,11 @@ FORMAT_VERSION = 2
 #: existing artifacts keep serving; V2 is the only one :func:`save_packed`
 #: writes.
 SUPPORTED_FORMAT_VERSIONS: tuple[int, ...] = (1, 2)
+
+#: The :class:`~repro.systolic.array.ArrayConfig` fields a quantized
+#: artifact stores; ``input_bits`` is the artifact's ``bits``.
+_ARRAY_FIELDS: tuple[str, ...] = ("rows", "cols", "alpha",
+                                  "accumulation_bits", "interleaved")
 
 #: Artifact kinds: a float :class:`PackedModel` or its calibrated
 #: :class:`QuantizedPackedModel` twin.
@@ -388,10 +395,12 @@ def save_packed(model: PackedModel | QuantizedPackedModel,
             [c.input_quantizer.scale for c in calibrations], dtype=np.float64)
         arrays["quant.weight_scales"] = np.array(
             [c.weight_quantizer.scale for c in calibrations], dtype=np.float64)
+        config = quantized.system.config
         quantized_meta = {
             "bits": quantized.bits,
             "calibration": quantized.calibration,
             "percentile": quantized.percentile,
+            "array": {name: getattr(config, name) for name in _ARRAY_FIELDS},
             "layers": [{"name": c.name,
                         "weight_rmse": c.weight_rmse,
                         "weight_saturation": c.weight_saturation}
@@ -814,7 +823,8 @@ def _assemble_model(raw: _RawArtifact, model: Module | None,
     quantized = QuantizedPackedModel(
         packed_model, bits=int(quantized_meta["bits"]),
         calibration=str(quantized_meta["calibration"]),
-        percentile=float(quantized_meta["percentile"]))
+        percentile=float(quantized_meta["percentile"]),
+        array_config=_quantized_array_config(meta, path))
     calibrations = []
     for layer_meta, input_scale, weight_scale in zip(
             quantized_meta["layers"], raw.quant_arrays["input_scales"],
@@ -835,6 +845,23 @@ def _assemble_model(raw: _RawArtifact, model: Module | None,
             f"{path}: frozen calibrations do not match the packed layers: "
             f"{error}") from error
     return quantized
+
+
+def _quantized_array_config(meta: dict[str, Any],
+                            path: Path) -> ArrayConfig | None:
+    """The array a quantized artifact was costed on, or ``None`` for
+    files written before it was stored (their array is the default one
+    derived from ``array_rows`` x ``array_cols``)."""
+    stored = meta["quantized"].get("array")
+    if stored is None:
+        return None
+    try:
+        return ArrayConfig(input_bits=int(meta["quantized"]["bits"]),
+                           **{name: stored[name] for name in _ARRAY_FIELDS})
+    except (KeyError, TypeError, ValueError) as error:
+        raise PackedArtifactError(
+            f"{path}: stored array configuration is unreadable: "
+            f"{error!r}") from error
 
 
 def load_packed(path: str | Path, model: Module | None = None
@@ -866,8 +893,10 @@ def _plan_from_artifact(raw: _RawArtifact, path: Path) -> Any:
     )
 
     meta = raw.meta
-    bits = (int(meta["quantized"]["bits"])
-            if meta["kind"] == "quantized" else None)
+    bits = array_config = None
+    if meta["kind"] == "quantized":
+        bits = int(meta["quantized"]["bits"])
+        array_config = _quantized_array_config(meta, path)
     packed_ops: dict[int, PackedLayerOp] = {}
 
     def packed_factory(index: int, bias: np.ndarray | None) -> PackedLayerOp:
@@ -929,7 +958,8 @@ def _plan_from_artifact(raw: _RawArtifact, path: Path) -> Any:
         array_rows=int(meta["array_rows"]),
         array_cols=int(meta["array_cols"]),
         pipeline_config=pipeline_config,
-        bits=bits)
+        bits=bits,
+        array_config=array_config)
 
 
 def check_servable(meta: dict[str, Any], path: str | Path) -> None:

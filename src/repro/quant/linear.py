@@ -93,20 +93,28 @@ class LinearQuantizer:
                                  ) -> tuple[np.ndarray, float]:
         """:meth:`quantize` plus the saturation rate, in a single pass.
 
-        Counts the clipped values on the rounded integers the quantization
-        itself computes, so callers that need both (the systolic execution
-        path) do not pay a second full round over the data.  The
-        intermediate passes run in place on one float buffer.
+        Returns the integers as integer-valued float64 — the operand type
+        of the exact integer GEMMs that consume them — in a fresh C-order
+        buffer, so quantizing a transposed view also lays it out for the
+        GEMM.  The values equal :meth:`quantize`'s, with a rounded ``-0.0``
+        stored as ``+0.0`` as the int64 cast gave; a NaN input stays NaN
+        (it counts as not saturated).  The clipped values are counted on
+        the rounded integers the quantization itself computes, and when
+        they all lie in range (the usual case for a max-magnitude fit) the
+        count and the clip are skipped.
         """
         tensor = np.asarray(tensor, dtype=np.float64)
         if tensor.size == 0:
-            return np.zeros(tensor.shape, dtype=np.int64), 0.0
-        q = np.divide(tensor, self.scale, out=np.empty_like(tensor))
+            return np.zeros(tensor.shape), 0.0
+        q = np.divide(tensor, self.scale, out=np.empty(tensor.shape))
         np.round(q, out=q)
-        clipped = (np.count_nonzero(q < self.qmin)
-                   + np.count_nonzero(q > self.qmax))
-        np.clip(q, self.qmin, self.qmax, out=q)
-        return q.astype(np.int64), float(clipped / tensor.size)
+        q += 0.0
+        qmin, qmax = self.qmin, self.qmax
+        if qmin <= q.min() and q.max() <= qmax:
+            return q, 0.0
+        clipped = np.count_nonzero(q < qmin) + np.count_nonzero(q > qmax)
+        np.clip(q, qmin, qmax, out=q)
+        return q, float(clipped / tensor.size)
 
     def dequantize(self, quantized: np.ndarray) -> np.ndarray:
         """Map integers back to floats."""

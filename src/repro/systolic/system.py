@@ -216,13 +216,13 @@ class SystolicSystem:
         weights_int, weight_saturation = \
             weight_quantizer.quantize_with_saturation(packed.weights)
         packed_int = PackedFilterMatrix(
-            weights=weights_int.astype(np.float64),
+            weights=weights_int,
             channel_index=packed.channel_index.copy(),
             grouping=packed.grouping,
             original_shape=packed.original_shape,
         )
 
-        result = self.tiled.multiply_packed(packed_int, data_int.astype(np.float64))
+        result = self.tiled.multiply_packed(packed_int, data_int)
         accumulations = result.output * (input_quantizer.scale * weight_quantizer.scale)
         if apply_relu:
             accumulations = np.maximum(accumulations, 0.0)

@@ -10,7 +10,10 @@ contiguous ones) because BLAS — and einsum's loop order — pick different,
 differently rounded, code paths per layout.  Across the two the contract
 is numerical equivalence, not bit equality: the blocked path fuses
 multiplies into BLAS dot products while the reference loops reduce
-scalar-by-scalar.
+scalar-by-scalar.  The blocked pointwise kernel runs one stacked
+``np.matmul`` per reduction block; it must reproduce, byte for byte, the
+one-gemm-per-sample loop (:func:`per_sample_conv_pointwise`) whose
+fixed call shape is the invariance argument.
 """
 
 from __future__ import annotations
@@ -184,6 +187,53 @@ def test_loops_kernel_matches_legacy_einsum_bits():
     xc, wc = rng_pair_conv(c=97)
     assert np.array_equal(reference_conv_pointwise(xc, wc),
                           np.einsum("nc,bchw->bnhw", wc, xc))
+
+
+# -- the stacked pointwise kernel vs the per-sample loop ---------------------
+def per_sample_conv_pointwise(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """One k-blocked ``(n, c) @ (c, H*W)`` gemm per sample from a Python
+    loop: the kernel whose every BLAS call has a batch-free shape.  The
+    stacked :func:`invariant_conv_pointwise` must match it byte for byte."""
+    batch, channels, height, width = x.shape
+    n_out = weight.shape[0]
+    dtype = np.result_type(x.dtype, weight.dtype)
+    out = np.empty((batch, n_out, height, width), dtype=dtype)
+    weight = np.ascontiguousarray(weight, dtype=dtype)
+    schedule = kernel_schedule(channels)
+    for index in range(batch):
+        plane = np.ascontiguousarray(x[index], dtype=dtype).reshape(
+            channels, height * width)
+        target = out[index].reshape(n_out, height * width)
+        first_start, first_stop = schedule[0]
+        np.matmul(weight[:, first_start:first_stop],
+                  plane[first_start:first_stop], out=target)
+        for block_start, block_stop in schedule[1:]:
+            target += weight[:, block_start:block_stop] @ plane[block_start:block_stop]
+    return out
+
+
+def assert_same_bytes(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("c", [97, 600, 1100])   # 1, 2 and 3 K_BLOCK blocks
+@pytest.mark.parametrize("hw", [(1, 1), (3, 3), (12, 12)])
+@pytest.mark.parametrize("batch", [0, 1, 3, 16])
+def test_stacked_conv_matches_per_sample_loop(c, hw, batch):
+    x, weight = rng_pair_conv(c, batch=batch, n=16, hw=hw)
+    assert_same_bytes(invariant_conv_pointwise(x, weight),
+                      per_sample_conv_pointwise(x, weight))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stacked_conv_matches_per_sample_loop_on_any_layout(dtype):
+    x, weight = rng_pair_conv(600, batch=16, n=16, hw=(6, 6), dtype=dtype)
+    for view in (x, np.asfortranarray(x), x[::2, :, ::2, ::2],
+                 x[:, ::-1], x.transpose(0, 1, 3, 2)):
+        for w in (weight, np.asfortranarray(weight)):
+            assert_same_bytes(invariant_conv_pointwise(view, w),
+                              per_sample_conv_pointwise(view, w))
 
 
 # -- schedule and shape validation -------------------------------------------

@@ -34,6 +34,7 @@ from repro.combining.serialization import (
 )
 from repro.experiments.workloads import sparse_network, spatial_sizes
 from repro.models import build_model
+from repro.systolic.array import ArrayConfig
 from tests.conftest import rewrite_as_v1
 
 MODEL_SPEC = {"name": "lenet5",
@@ -137,6 +138,35 @@ def test_quantized_round_trip_is_forward_bit_identical(tmp_path,
         assert original.input_quantizer.scale == restored.input_quantizer.scale
         assert original.weight_quantizer.scale == restored.weight_quantizer.scale
         assert original.weight_rmse == restored.weight_rmse
+
+
+def test_quantized_round_trip_keeps_a_custom_array(tmp_path, packed_lenet5,
+                                                   images):
+    """A quantized artifact costs batches on the array it was built for,
+    not a default one rebuilt from ``array_rows`` x ``array_cols``."""
+    config = ArrayConfig(rows=8, cols=8, input_bits=8, alpha=8)
+    quantized = QuantizedPackedModel(packed_lenet5, bits=8,
+                                     array_config=config)
+    quantized.calibrate(np.random.default_rng(7).normal(size=(16, 1, 8, 8)))
+    path = save_packed(quantized, tmp_path / "lenet5.int8.8x8.npz",
+                       model_spec=MODEL_SPEC)
+
+    def cycles(plan) -> int:
+        observed: dict = {}
+        plan.forward(images[:4], mode="quantized", observed=observed)
+        return plan.execution_plan(observed=observed, batch=4).total_cycles
+    live = cycles(quantized.compile_plan())
+    assert cycles(load_plan(path)) == live
+    assert load_packed(path).system.config == config
+
+    # Files written before the array was stored keep the default array.
+    rewrite_artifact(path, lambda arrays: edit_meta(
+        arrays, lambda meta: meta["quantized"].pop("array")))
+    default = ArrayConfig(rows=packed_lenet5.array_rows,
+                          cols=packed_lenet5.array_cols, input_bits=8,
+                          alpha=max(1, packed_lenet5.multiplexing_degree()))
+    assert load_plan(path).array_config == default
+    assert load_packed(path).system.config == default
 
 
 def test_matrix_only_round_trip(tmp_path):

@@ -159,6 +159,54 @@ def test_quantize_with_saturation_matches_the_two_call_form(rng):
     assert empty.shape == (0, 4) and empty_rate == 0.0
 
 
+def test_quantize_with_saturation_returns_integer_valued_float64(rng):
+    quantizer = LinearQuantizer(bits=6, scale=0.05)
+    tensor = rng.normal(size=(3, 4, 5, 2))
+    # A transposed view comes back as a fresh C-order buffer.
+    for value in (tensor, tensor.transpose(1, 0, 2, 3),
+                  tensor.astype(np.float32)):
+        quantized, _ = quantizer.quantize_with_saturation(value)
+        assert quantized.dtype == np.float64
+        assert quantized.flags["C_CONTIGUOUS"]
+        assert quantized.shape == value.shape
+        assert np.array_equal(quantized, quantizer.quantize(value))
+
+
+def test_quantize_with_saturation_rounds_small_negatives_to_plus_zero():
+    quantizer = LinearQuantizer(bits=8, scale=0.5)
+    # np.round maps (-scale/2, 0) to -0.0; the GEMM operand holds +0.0.
+    tiny = np.array([-0.2499, -1e-300, -0.0, 0.0, 0.1])
+    quantized, rate = quantizer.quantize_with_saturation(tiny)
+    assert rate == 0.0
+    assert quantized.tobytes() == np.zeros(5).tobytes()
+
+
+def test_quantize_with_saturation_rate_is_the_same_on_both_paths(rng):
+    """In-range data skips the count and the clip; out-of-range data
+    takes them.  Either way the rate is the clipped share."""
+    quantizer = LinearQuantizer(bits=4, scale=1.0)
+    in_range = rng.uniform(-8.4, 7.4, size=200)
+    out_of_range = np.concatenate([in_range, [-9.0, 8.0, 100.0, -100.0]])
+    for value, clipped in ((in_range, 0), (out_of_range, 4),
+                           # half to even: 7.5 -> 8 clips, -8.5 -> -8 not
+                           (np.array([-8.5, 7.5]), 1),
+                           (np.array([7.49, -8.49]), 0)):
+        quantized, rate = quantizer.quantize_with_saturation(value)
+        assert rate == clipped / value.size
+        assert quantizer.qmin <= quantized.min()
+        assert quantized.max() <= quantizer.qmax
+        assert np.array_equal(quantized, quantizer.quantize(value))
+
+
+def test_quantize_with_saturation_keeps_nan():
+    quantizer = LinearQuantizer(bits=8, scale=0.1)
+    quantized, rate = quantizer.quantize_with_saturation(
+        np.array([np.nan, 1.0, -np.nan, 1e9]))
+    assert np.isnan(quantized[0]) and np.isnan(quantized[2])
+    assert quantized[1] == 10.0 and quantized[3] == quantizer.qmax
+    assert rate == 0.25
+
+
 def test_fit_on_nan_tensor_falls_back_to_unit_scale():
     """A diverged model's NaN activations must not poison the scale."""
     tensor = np.array([1.0, np.nan, 2.0])
