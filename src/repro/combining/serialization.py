@@ -78,7 +78,7 @@ from __future__ import annotations
 import hashlib
 import json
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -107,11 +107,6 @@ FORMAT_VERSION = 2
 #: existing artifacts keep serving; V2 is the only one :func:`save_packed`
 #: writes.
 SUPPORTED_FORMAT_VERSIONS: tuple[int, ...] = (1, 2)
-
-#: The :class:`~repro.systolic.array.ArrayConfig` fields a quantized
-#: artifact stores; ``input_bits`` is the artifact's ``bits``.
-_ARRAY_FIELDS: tuple[str, ...] = ("rows", "cols", "alpha",
-                                  "accumulation_bits", "interleaved")
 
 #: Artifact kinds: a float :class:`PackedModel` or its calibrated
 #: :class:`QuantizedPackedModel` twin.
@@ -400,7 +395,7 @@ def save_packed(model: PackedModel | QuantizedPackedModel,
             "bits": quantized.bits,
             "calibration": quantized.calibration,
             "percentile": quantized.percentile,
-            "array": {name: getattr(config, name) for name in _ARRAY_FIELDS},
+            "array": asdict(config),
             "layers": [{"name": c.name,
                         "weight_rmse": c.weight_rmse,
                         "weight_saturation": c.weight_saturation}
@@ -856,9 +851,8 @@ def _quantized_array_config(meta: dict[str, Any],
     if stored is None:
         return None
     try:
-        return ArrayConfig(input_bits=int(meta["quantized"]["bits"]),
-                           **{name: stored[name] for name in _ARRAY_FIELDS})
-    except (KeyError, TypeError, ValueError) as error:
+        return ArrayConfig(**stored)
+    except (TypeError, ValueError) as error:
         raise PackedArtifactError(
             f"{path}: stored array configuration is unreadable: "
             f"{error!r}") from error

@@ -99,9 +99,10 @@ class LinearQuantizer:
         GEMM.  The values equal :meth:`quantize`'s, with a rounded ``-0.0``
         stored as ``+0.0`` as the int64 cast gave; a NaN input stays NaN
         (it counts as not saturated).  The clipped values are counted on
-        the rounded integers the quantization itself computes, and when
-        they all lie in range (the usual case for a max-magnitude fit) the
-        count and the clip are skipped.
+        the rounded integers the quantization itself computes.  When every
+        value lies in range, the count and the clip are skipped; a tensor
+        that does saturate pays for the two extra reductions (``min`` and
+        ``max``) that decided it.
         """
         tensor = np.asarray(tensor, dtype=np.float64)
         if tensor.size == 0:

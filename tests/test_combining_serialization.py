@@ -12,6 +12,8 @@ of producing a silently wrong model.
 from __future__ import annotations
 
 import json
+import shutil
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -158,6 +160,18 @@ def test_quantized_round_trip_keeps_a_custom_array(tmp_path, packed_lenet5,
     live = cycles(quantized.compile_plan())
     assert cycles(load_plan(path)) == live
     assert load_packed(path).system.config == config
+
+    # A stored array whose cells disagree with the quantizers, or that is
+    # not an ArrayConfig at all, is refused on both load paths.
+    for stored, error in (({**asdict(config), "input_bits": 4}, ValueError),
+                          ({**asdict(config), "depth": 2}, PackedArtifactError)):
+        bad = tmp_path / "bad.npz"
+        shutil.copyfile(path, bad)
+        rewrite_artifact(bad, lambda arrays: edit_meta(
+            arrays, lambda meta: meta["quantized"].update(array=stored)))
+        for load in (load_plan, load_packed):
+            with pytest.raises(error):
+                load(bad)
 
     # Files written before the array was stored keep the default array.
     rewrite_artifact(path, lambda arrays: edit_meta(
